@@ -11,6 +11,10 @@
 //! *byte-identical* between sequential and rayon-parallel execution —
 //! per-(seed, node, round) randomness makes the executions themselves
 //! identical, and the shard merge must not reorder or drop churn entries.
+//!
+//! Beyond seq == par, every run's full output trajectory is folded into an
+//! FNV-1a-64 digest and pinned against [`GOLDEN`], so a kernel rewrite that
+//! changes outputs identically on both paths still fails here.
 
 use dynnet::graph::DynamicGraphTrace;
 use dynnet::prelude::*;
@@ -36,12 +40,114 @@ fn footprint(seed: u64) -> Graph {
     generators::erdos_renyi_avg_degree(N, 4.0, &mut experiment_rng(seed, "par-eq"))
 }
 
-/// Collects every round's exact churn list as reported by the simulator.
-struct ChurnCollector {
-    rounds: Vec<Vec<NodeId>>,
+/// Golden output-trajectory digests, one per adversary × problem. Each is
+/// the [`OutputDigest`] of a 24-round run, identical on the sequential and
+/// every parallel leg. Captured before any round-kernel rewrite; a change
+/// here means the algorithms' outputs changed.
+const GOLDEN: [(&str, u64); 24] = [
+    ("static/coloring", 0x8782_d24b_effc_e605),
+    ("static/mis", 0x76b0_7448_e32e_159b),
+    ("scripted/coloring", 0x0c39_cf08_2e23_a286),
+    ("scripted/mis", 0x5122_599c_926b_7b36),
+    ("phase/coloring", 0xe907_2fd6_ada0_aaca),
+    ("phase/mis", 0x3058_cd13_8d93_acbd),
+    ("markov/coloring", 0x497d_3dda_1596_eafc),
+    ("markov/mis", 0xc775_ddf5_bf3e_84d4),
+    ("flip/coloring", 0xed15_c6c9_aeff_1e18),
+    ("flip/mis", 0x04ad_ab0a_ec7b_ef28),
+    ("rate/coloring", 0xffa7_9b2f_610d_5b9d),
+    ("rate/mis", 0x7543_7dca_7648_c1aa),
+    ("burst/coloring", 0xd4b5_2f8c_e6ca_07ab),
+    ("burst/mis", 0x18ad_2102_80a2_73ae),
+    ("node-churn/coloring", 0x776e_e525_2c99_f5df),
+    ("node-churn/mis", 0x5e51_abef_a665_026d),
+    ("growth/coloring", 0xa8fb_f34d_6652_1c25),
+    ("growth/mis", 0x63c1_688b_c2c9_bb7c),
+    ("mobility/coloring", 0x1d10_3578_785b_c77f),
+    ("mobility/mis", 0xe17c_f4ab_e713_960d),
+    ("locally-static/coloring", 0xfe8f_f0d3_debb_ea2b),
+    ("locally-static/mis", 0x0ac1_8bdd_5fd4_4fae),
+    ("conflict-seeking/coloring", 0x7b13_c8b6_bac8_1ca2),
+    ("conflict-seeking/mis", 0xb424_851c_b855_64a6),
+];
+
+/// The explicit byte encoding the digest folds, fixed by hand rather than
+/// derived through `Hash`, so the digests survive toolchain changes.
+trait DigestBytes {
+    fn digest_bytes(&self, out: &mut Vec<u8>);
 }
 
-impl<O> RoundObserver<O> for ChurnCollector {
+impl DigestBytes for MisOutput {
+    fn digest_bytes(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            MisOutput::Undecided => 0,
+            MisOutput::InMis => 1,
+            MisOutput::Dominated => 2,
+        });
+    }
+}
+
+impl DigestBytes for ColorOutput {
+    fn digest_bytes(&self, out: &mut Vec<u8>) {
+        match self {
+            ColorOutput::Undecided => out.push(0),
+            ColorOutput::Colored(c) => {
+                out.push(1);
+                out.extend_from_slice(&(*c as u64).to_le_bytes());
+            }
+        }
+    }
+}
+
+/// FNV-1a-64 over every round's full output vector: per node one tag byte
+/// (`0` asleep, `1` awake) followed by the output's [`DigestBytes`].
+struct OutputDigest {
+    hash: u64,
+    buf: Vec<u8>,
+}
+
+impl OutputDigest {
+    fn new() -> Self {
+        OutputDigest {
+            hash: 0xcbf2_9ce4_8422_2325,
+            buf: Vec::new(),
+        }
+    }
+
+    fn fold<O: DigestBytes>(&mut self, outputs: &[Option<O>]) {
+        self.buf.clear();
+        for out in outputs {
+            match out {
+                None => self.buf.push(0),
+                Some(o) => {
+                    self.buf.push(1);
+                    o.digest_bytes(&mut self.buf);
+                }
+            }
+        }
+        for &b in &self.buf {
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+fn golden(name: &str) -> u64 {
+    GOLDEN
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, d)| d)
+        .unwrap_or_else(|| panic!("{name}: no golden digest"))
+}
+
+/// Collects every round's exact churn list as reported by the simulator,
+/// and folds every round's outputs into the trajectory digest.
+struct ChurnCollector {
+    rounds: Vec<Vec<NodeId>>,
+    digest: OutputDigest,
+}
+
+impl<O: DigestBytes> RoundObserver<O> for ChurnCollector {
     fn on_round(&mut self, view: &RoundView<'_, O>) {
         let changed = view
             .changed_outputs
@@ -49,12 +155,14 @@ impl<O> RoundObserver<O> for ChurnCollector {
         // The churn list is sorted ascending by construction on both paths.
         assert!(changed.windows(2).all(|w| w[0] < w[1]), "unsorted churn");
         self.rounds.push(changed.to_vec());
+        self.digest.fold(view.outputs);
     }
 }
 
 /// Runs the same scenario sequentially and parallel (threshold 0, so the
 /// parallel path is exercised regardless of `n`) and asserts identical
-/// per-round churn lists and final outputs. Factory and adversary are
+/// per-round churn lists and final outputs, and that every leg's output
+/// trajectory digest equals the golden one. Factory and adversary are
 /// handed in as builders because neither the combined-algorithm factories
 /// nor every adversary is `Clone`; determinism comes from the builders
 /// producing identical values.
@@ -65,12 +173,15 @@ fn assert_seq_par_identical<A, F, Adv>(
     rounds: usize,
 ) where
     A: NodeAlgorithm,
-    A::Output: std::fmt::Debug,
+    A::Output: std::fmt::Debug + DigestBytes,
     F: AlgorithmFactory<A>,
     Adv: OutputAdversary<A::Output>,
 {
     let run = |parallel: bool| {
-        let mut churn = ChurnCollector { rounds: Vec::new() };
+        let mut churn = ChurnCollector {
+            rounds: Vec::new(),
+            digest: OutputDigest::new(),
+        };
         let runner = Scenario::new(N)
             .algorithm(mk_factory())
             .adversary(mk_adversary())
@@ -80,15 +191,24 @@ fn assert_seq_par_identical<A, F, Adv>(
             .rounds(rounds)
             .run(&mut [&mut churn]);
         assert_eq!(churn.rounds.len(), rounds, "{name}: observer missed rounds");
-        (churn.rounds, runner.outputs().to_vec())
+        (churn.rounds, runner.outputs().to_vec(), churn.digest.hash)
     };
-    let (seq_churn, seq_outputs) = run(false);
+    let golden = golden(name);
+    let (seq_churn, seq_outputs, seq_digest) = run(false);
+    assert_eq!(
+        seq_digest, golden,
+        "{name}: sequential output digest {seq_digest:#018x} differs from the golden one"
+    );
     let _knob = CHUNK_KNOB
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     for factor in CHUNK_FACTORS {
         rayon::set_chunk_factor(factor);
-        let (par_churn, par_outputs) = run(true);
+        let (par_churn, par_outputs, par_digest) = run(true);
+        assert_eq!(
+            par_digest, golden,
+            "{name}: parallel output digest {par_digest:#018x} differs from the golden one at chunk factor {factor}"
+        );
         assert_eq!(
             seq_churn, par_churn,
             "{name}: changed_outputs diverged at chunk factor {factor}"
