@@ -9,8 +9,8 @@
 //! output-aware conflict seekers. Adversaries are *delta-native*: the round
 //! loop asks them for the round's [`dynnet_graph::GraphDelta`]
 //! ([`Adversary::next_delta`]) and patches one persistent graph, so a round
-//! costs `O(|δ|)` instead of a full graph build — the whole-graph
-//! `next_graph` interface remains as a default-bridged compatibility path.
+//! costs `O(|δ|)` instead of a full graph build. `next_delta` is the one
+//! required method; `next_graph` is derived from it.
 //!
 //! * [`StaticAdversary`], [`ScriptedAdversary`], [`PhaseAdversary`] — static
 //!   graphs, recorded traces, and phase schedules.
@@ -24,16 +24,14 @@
 //! * [`ConflictSeekingAdversary`] — adaptive, output-aware attacks.
 //! * [`Scenario`] / [`Runner`] — the unified execution API: builds one
 //!   complete run (algorithm + adversary + wake-up + seed + rounds) and
-//!   streams every round to pluggable [`dynnet_runtime::RoundObserver`]s.
-//! * [`drive::run`] — the legacy "record everything" entry point, now a thin
-//!   shim over the streaming path.
+//!   streams every round to pluggable [`dynnet_runtime::RoundObserver`]s
+//!   (attach a [`dynnet_runtime::TraceRecorder`] to record the execution).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;
 pub mod churn;
-pub mod drive;
 pub mod locally_static;
 pub mod mobility;
 pub mod node_churn;
@@ -43,7 +41,6 @@ pub mod traits;
 
 pub use adaptive::ConflictSeekingAdversary;
 pub use churn::{BurstAdversary, FlipChurnAdversary, MarkovChurnAdversary, RateChurnAdversary};
-pub use drive::{run, ExecutionRecord};
 pub use locally_static::LocallyStaticAdversary;
 pub use mobility::{MobilityAdversary, MobilityConfig};
 pub use node_churn::{GrowthAdversary, NodeChurnAdversary};

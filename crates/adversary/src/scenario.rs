@@ -39,9 +39,8 @@
 //! The builder produces a [`Runner`], which drives the round loop against
 //! the adversary and streams a borrowed
 //! [`RoundView`] to any number of [`RoundObserver`]s — metrics, T-dynamic
-//! verification, and trace recording plug in without the `O(n · rounds)`
-//! materialization the old `Simulator::new` + `adversary::run` +
-//! post-hoc-verify wiring required.
+//! verification, and trace recording plug in without materializing the
+//! execution (`O(n · rounds)`) for a post-hoc pass.
 
 use crate::traits::OutputAdversary;
 use dynnet_graph::Graph;
@@ -403,11 +402,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::churn::FlipChurnAdversary;
     use crate::simple::StaticAdversary;
     use dynnet_graph::{generators, NodeId};
-    use dynnet_runtime::observer::{ChurnStats, ConvergenceTracker, TraceRecorder};
-    use dynnet_runtime::rng::experiment_rng;
+    use dynnet_runtime::observer::{ChurnStats, ConvergenceTracker};
     use dynnet_runtime::{Incoming, NodeContext, ScriptedWakeup};
 
     /// Flooding: every node outputs the maximum id heard so far.
@@ -427,42 +424,6 @@ mod tests {
         }
         fn output(&self) -> u32 {
             self.0
-        }
-    }
-
-    #[test]
-    fn scenario_matches_legacy_run() {
-        let n = 24;
-        let footprint = generators::erdos_renyi_avg_degree(n, 4.0, &mut experiment_rng(1, "sc"));
-        let rounds = 12;
-
-        let mut sim = Simulator::new(
-            n,
-            |v: NodeId| MaxFlood(v.0),
-            dynnet_runtime::AllAtStart,
-            SimConfig::sequential(5),
-        );
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.05, 9);
-        let legacy = crate::drive::run(&mut sim, &mut adv, rounds);
-
-        let mut recorder = TraceRecorder::new();
-        let runner = Scenario::new(n)
-            .algorithm(|v: NodeId| MaxFlood(v.0))
-            .adversary(FlipChurnAdversary::new(&footprint, 0.05, 9))
-            .seed(5)
-            .rounds(rounds)
-            .run(&mut [&mut recorder]);
-        let record = recorder.into_record();
-
-        assert_eq!(runner.rounds_executed(), rounds);
-        assert_eq!(record.num_rounds(), legacy.num_rounds());
-        for r in 0..rounds {
-            assert_eq!(record.outputs_at(r), legacy.outputs_at(r), "round {r}");
-            assert_eq!(
-                record.graph_at(r).edge_vec(),
-                legacy.graph_at(r).edge_vec(),
-                "round {r}"
-            );
         }
     }
 

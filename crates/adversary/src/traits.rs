@@ -17,12 +17,8 @@ use dynnet_graph::{Graph, GraphDelta};
 ///
 /// The round loop is delta-native: the runner keeps one persistent graph and
 /// asks the adversary for the round's [`GraphDelta`] via
-/// [`Adversary::next_delta`]. `next_graph` and `next_delta` are mutually
-/// default-implemented — an implementation must override **at least one** of
-/// them (overriding neither recurses infinitely). Legacy adversaries that
-/// override only `next_graph` keep working (their delta is derived with
-/// [`GraphDelta::between`], `O(n + m)`); delta-native adversaries override
-/// `next_delta` and pay only `O(|δ|)` per round.
+/// [`Adversary::next_delta`], the one required per-round method, so a round
+/// costs `O(|δ|)`. [`Adversary::next_graph`] is derived from it.
 pub trait Adversary: Send {
     /// The graph for round 0.
     fn initial_graph(&mut self) -> Graph;
@@ -30,32 +26,24 @@ pub trait Adversary: Send {
     /// The graph for round `round ≥ 1`, given the previous round's graph.
     ///
     /// Default: materializes [`Adversary::next_delta`] onto a copy of `prev`.
+    /// An override (e.g. one that builds the graph directly) must advance
+    /// internal state (RNG draws, positions) exactly as `next_delta` does:
+    /// at most one of the two is called per round.
     fn next_graph(&mut self, round: u64, prev: &Graph) -> Graph {
         self.next_delta(round, prev).materialize(prev)
     }
 
     /// The change the adversary applies at the beginning of round
     /// `round ≥ 1`, relative to `prev` (the graph of round `round - 1`).
-    ///
-    /// Default: derived from [`Adversary::next_graph`] with
-    /// [`GraphDelta::between`], so existing whole-graph adversaries keep
-    /// working unchanged.
-    ///
-    /// At most one of `next_graph` / `next_delta` is called per round; an
-    /// adversary that advances internal state (RNG draws, positions) must
-    /// produce the same evolution through either entry point.
-    fn next_delta(&mut self, round: u64, prev: &Graph) -> GraphDelta {
-        let next = self.next_graph(round, prev);
-        GraphDelta::between(prev, &next)
-    }
+    fn next_delta(&mut self, round: u64, prev: &Graph) -> GraphDelta;
 }
 
 /// An adversary that may additionally inspect the outputs published by the
 /// nodes at the end of the previous round (adaptive, but still oblivious to
 /// the current round's randomness).
 ///
-/// Like [`Adversary`], the graph- and delta-producing entry points are
-/// mutually default-implemented; override at least one of them.
+/// Like [`Adversary`], [`OutputAdversary::next_delta`] is required and
+/// [`OutputAdversary::next_graph`] is derived from it.
 pub trait OutputAdversary<O>: Send {
     /// The graph for round 0.
     fn initial_graph(&mut self) -> Graph;
@@ -69,10 +57,7 @@ pub trait OutputAdversary<O>: Send {
 
     /// The change applied at the beginning of round `round ≥ 1`, relative to
     /// `prev`, given the outputs published at the end of round `round - 1`.
-    fn next_delta(&mut self, round: u64, prev: &Graph, outputs: &[Option<O>]) -> GraphDelta {
-        let next = self.next_graph(round, prev, outputs);
-        GraphDelta::between(prev, &next)
-    }
+    fn next_delta(&mut self, round: u64, prev: &Graph, outputs: &[Option<O>]) -> GraphDelta;
 }
 
 /// Every output-oblivious adversary is trivially an output-aware adversary
@@ -119,8 +104,8 @@ mod tests {
         fn initial_graph(&mut self) -> Graph {
             self.0.clone()
         }
-        fn next_graph(&mut self, _round: u64, prev: &Graph) -> Graph {
-            prev.clone()
+        fn next_delta(&mut self, _round: u64, _prev: &Graph) -> GraphDelta {
+            GraphDelta::new()
         }
     }
 
@@ -132,22 +117,13 @@ mod tests {
         assert_eq!(g0.edge_vec(), g1.edge_vec());
     }
 
-    #[test]
-    fn default_next_delta_derives_from_next_graph() {
-        // Freeze only overrides next_graph; the derived delta must be empty.
-        let mut adv = Freeze(generators::cycle(4));
-        let g0 = Adversary::initial_graph(&mut adv);
-        let delta = Adversary::next_delta(&mut adv, 1, &g0);
-        assert!(delta.is_empty());
-    }
-
     struct DropOneEdge;
 
     impl Adversary for DropOneEdge {
         fn initial_graph(&mut self) -> Graph {
             generators::cycle(4)
         }
-        // Only next_delta is overridden; next_graph is derived.
+        // next_graph is derived.
         fn next_delta(&mut self, _round: u64, prev: &Graph) -> GraphDelta {
             let mut delta = GraphDelta::new();
             if let Some(e) = prev.edges().next() {

@@ -86,10 +86,10 @@ pub fn oracle_coloring(g: &Graph) -> Vec<ColorOutput> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_adversary::{drive, StaticAdversary};
+    use crate::testing::record_run;
+    use dynnet_adversary::StaticAdversary;
     use dynnet_core::{coloring::conflict_edges, output_churn_series, HasBottom};
     use dynnet_graph::generators;
-    use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
 
     #[test]
     fn restart_baseline_churns_even_on_static_graphs() {
@@ -100,17 +100,17 @@ mod tests {
             &mut dynnet_runtime::rng::experiment_rng(3, "restart"),
         );
         let period = 20u64;
-        let mut sim = Simulator::new(
+        let rounds = 120;
+        let (runner, record) = record_run(
             n,
             move |v: NodeId| RestartColoring::new(v, period),
-            AllAtStart,
-            SimConfig::sequential(1),
+            StaticAdversary::new(g),
+            1,
+            rounds,
         );
-        let mut adv = StaticAdversary::new(g);
-        let rounds = 120;
-        let record = drive::run(&mut sim, &mut adv, rounds);
-        let outputs: Vec<Vec<Option<ColorOutput>>> =
-            (0..rounds).map(|r| record.outputs_at(r).to_vec()).collect();
+        let outputs: Vec<Vec<Option<ColorOutput>>> = (0..rounds)
+            .map(|r| record.outputs_at(r).unwrap().to_vec())
+            .collect();
         let nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         let churn = output_churn_series(&outputs, &nodes);
         // The total churn over the run is large (way beyond the one-time
@@ -130,7 +130,7 @@ mod tests {
             undecided_late_round,
             "restarting forces ⊥ outputs long after start"
         );
-        assert!(sim.node(NodeId::new(0)).unwrap().restarts() >= 4);
+        assert!(runner.sim().node(NodeId::new(0)).unwrap().restarts() >= 4);
     }
 
     #[test]
@@ -138,16 +138,16 @@ mod tests {
         let n = 20;
         let g = generators::cycle(n);
         let period = 40u64;
-        let mut sim = Simulator::new(
+        let (_, record) = record_run(
             n,
             move |v: NodeId| RestartColoring::new(v, period),
-            AllAtStart,
-            SimConfig::sequential(2),
+            StaticAdversary::new(g.clone()),
+            2,
+            period as usize,
         );
-        let mut adv = StaticAdversary::new(g.clone());
-        let record = drive::run(&mut sim, &mut adv, period as usize);
         let out: Vec<ColorOutput> = record
             .outputs_at(period as usize - 1)
+            .unwrap()
             .iter()
             .map(|o| o.unwrap())
             .collect();

@@ -122,11 +122,10 @@ mod tests {
             AllAtStart,
             SimConfig::sequential(seed),
         );
-        let reports = sim.run_static(g, rounds);
-        reports
-            .last()
-            .unwrap()
-            .outputs
+        for _ in 0..rounds {
+            sim.step_streaming(g);
+        }
+        sim.outputs()
             .iter()
             .map(|o| o.unwrap_or(ColorOutput::Undecided))
             .collect()
@@ -177,18 +176,18 @@ mod tests {
         let mut sim = Simulator::new(8, BasicColoring::new, AllAtStart, SimConfig::sequential(3));
         let mut last: Vec<Option<ColorOutput>> = vec![None; 8];
         for _ in 0..40 {
-            let rep = sim.step(&g);
+            sim.step_streaming(&g);
             #[allow(clippy::needless_range_loop)]
             for i in 0..8 {
                 if let Some(ColorOutput::Colored(c)) = last[i] {
                     assert_eq!(
-                        rep.outputs[i],
+                        sim.outputs()[i],
                         Some(ColorOutput::Colored(c)),
                         "node {i} changed color"
                     );
                 }
             }
-            last = rep.outputs;
+            last = sim.outputs().to_vec();
         }
         assert!(last
             .iter()
@@ -200,7 +199,7 @@ mod tests {
         let g = generators::complete(6);
         let mut sim = Simulator::new(6, BasicColoring::new, AllAtStart, SimConfig::sequential(7));
         for _ in 0..30 {
-            sim.step(&g);
+            sim.step_streaming(&g);
             for i in 0..6 {
                 let node = sim.node(NodeId::new(i)).unwrap();
                 if node.output() == ColorOutput::Undecided {

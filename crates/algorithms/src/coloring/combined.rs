@@ -37,22 +37,23 @@ pub fn dynamic_coloring(window: usize) -> DynamicColoringFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::record_run;
     use dynnet_adversary::{
-        drive, BurstAdversary, FlipChurnAdversary, LocallyStaticAdversary, StaticAdversary,
+        BurstAdversary, FlipChurnAdversary, LocallyStaticAdversary, StaticAdversary,
     };
     use dynnet_core::{
         coloring::conflict_edges, recommended_window, verify_t_dynamic_run, ColoringProblem,
         HasBottom,
     };
     use dynnet_graph::{generators, Graph, NodeId};
-    use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
+    use dynnet_runtime::TraceRecorder;
 
     fn collect_outputs(
-        record: &dynnet_adversary::ExecutionRecord<ColorOutput>,
+        record: &TraceRecorder<ColorOutput>,
     ) -> (Vec<Graph>, Vec<Vec<Option<ColorOutput>>>) {
-        let graphs: Vec<Graph> = record.trace.iter().collect();
+        let graphs: Vec<Graph> = record.trace().unwrap().iter().collect();
         let outputs = (0..record.num_rounds())
-            .map(|r| record.outputs_at(r).to_vec())
+            .map(|r| record.outputs_at(r).unwrap().to_vec())
             .collect();
         (graphs, outputs)
     }
@@ -66,15 +67,14 @@ mod tests {
             5.0,
             &mut dynnet_runtime::rng::experiment_rng(7, "combined-col"),
         );
-        let mut sim = Simulator::new(
+        let rounds = window * 3;
+        let (_, record) = record_run(
             n,
             dynamic_coloring(window),
-            AllAtStart,
-            SimConfig::sequential(3),
+            FlipChurnAdversary::new(&footprint, 0.03, 5),
+            3,
+            rounds,
         );
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.03, 5);
-        let rounds = window * 3;
-        let record = drive::run(&mut sim, &mut adv, rounds);
         let (graphs, outputs) = collect_outputs(&record);
         let summary = verify_t_dynamic_run(&ColoringProblem, &graphs, &outputs, window, window - 1);
         assert!(
@@ -93,17 +93,17 @@ mod tests {
             0.25,
             &mut dynnet_runtime::rng::experiment_rng(8, "combined-static"),
         );
-        let mut sim = Simulator::new(
+        let rounds = window * 3;
+        let (_, record) = record_run(
             n,
             dynamic_coloring(window),
-            AllAtStart,
-            SimConfig::sequential(4),
+            StaticAdversary::new(g.clone()),
+            4,
+            rounds,
         );
-        let mut adv = StaticAdversary::new(g.clone());
-        let rounds = window * 3;
-        let record = drive::run(&mut sim, &mut adv, rounds);
         let out: Vec<ColorOutput> = record
             .outputs_at(rounds - 1)
+            .unwrap()
             .iter()
             .map(|o| o.unwrap_or(ColorOutput::Undecided))
             .collect();
@@ -111,10 +111,10 @@ mod tests {
         assert_eq!(conflict_edges(&g, &out), 0);
         // Locally static everywhere ⇒ output frozen after 2 * window rounds.
         let freeze_from = 2 * window;
-        let reference = record.outputs_at(freeze_from).to_vec();
+        let reference = record.outputs_at(freeze_from).unwrap().to_vec();
         for r in freeze_from..rounds {
             assert_eq!(
-                record.outputs_at(r),
+                record.outputs_at(r).unwrap(),
                 &reference[..],
                 "output changed in round {r}"
             );
@@ -126,22 +126,22 @@ mod tests {
         let n = 36;
         let window = recommended_window(n);
         let base = generators::grid(6, 6);
-        let mut sim = Simulator::new(
+        let rounds = window * 4;
+        let (_, record) = record_run(
             n,
             dynamic_coloring(window),
-            AllAtStart,
-            SimConfig::sequential(5),
+            BurstAdversary::new(base, 2 * window as u64, 10 * window as u64, 4, 9),
+            5,
+            rounds,
         );
-        let mut adv = BurstAdversary::new(base, 2 * window as u64, 10 * window as u64, 4, 9);
-        let rounds = window * 4;
-        let record = drive::run(&mut sim, &mut adv, rounds);
         // Count, per round, conflicts on the *current* graph; they may appear
         // when a burst lands but must be gone again within `window` rounds.
         let mut conflict_rounds: Vec<usize> = Vec::new();
         for r in window..rounds {
-            let g = record.graph_at(r);
+            let g = record.graph_at(r).unwrap();
             let out: Vec<ColorOutput> = record
                 .outputs_at(r)
+                .unwrap()
                 .iter()
                 .map(|o| o.unwrap_or(ColorOutput::Undecided))
                 .collect();
@@ -174,21 +174,20 @@ mod tests {
         let window = recommended_window(n);
         let base = generators::grid(7, 7);
         let seed_node = NodeId::new(24);
-        let mut adv = LocallyStaticAdversary::new(base, vec![seed_node], 2, 0.25, 31);
-        let mut sim = Simulator::new(
+        let rounds = window * 4;
+        let (_, record) = record_run(
             n,
             dynamic_coloring(window),
-            AllAtStart,
-            SimConfig::sequential(6),
+            LocallyStaticAdversary::new(base, vec![seed_node], 2, 0.25, 31),
+            6,
+            rounds,
         );
-        let rounds = window * 4;
-        let record = drive::run(&mut sim, &mut adv, rounds);
         let stable_from = 2 * window;
-        let reference = record.outputs_at(stable_from)[seed_node.index()].unwrap();
+        let reference = record.outputs_at(stable_from).unwrap()[seed_node.index()].unwrap();
         assert!(reference.is_decided());
         for r in stable_from..rounds {
             assert_eq!(
-                record.outputs_at(r)[seed_node.index()].unwrap(),
+                record.outputs_at(r).unwrap()[seed_node.index()].unwrap(),
                 reference,
                 "protected node changed its color in round {r}"
             );

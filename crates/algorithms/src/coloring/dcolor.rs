@@ -200,7 +200,8 @@ impl NodeAlgorithm for DColor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_adversary::{drive, FlipChurnAdversary, StaticAdversary};
+    use crate::testing::record_run;
+    use dynnet_adversary::{FlipChurnAdversary, StaticAdversary};
     use dynnet_core::HasBottom;
     use dynnet_core::{coloring::conflict_edges, verify_t_dynamic_run, ColoringProblem};
     use dynnet_graph::{generators, Graph};
@@ -223,8 +224,8 @@ mod tests {
         };
         let mut sim = Simulator::new(5, factory, AllAtStart, SimConfig::sequential(2));
         for _ in 0..30 {
-            let rep = sim.step(&g);
-            assert_eq!(rep.outputs[0], Some(ColorOutput::Colored(7)));
+            sim.step_streaming(&g);
+            assert_eq!(sim.outputs()[0], Some(ColorOutput::Colored(7)));
         }
     }
 
@@ -235,11 +236,10 @@ mod tests {
             8.0,
             &mut dynnet_runtime::rng::experiment_rng(1, "dcolor"),
         );
-        let mut sim = Simulator::new(80, fresh, AllAtStart, SimConfig::sequential(5));
-        let mut adv = StaticAdversary::new(g.clone());
-        let record = drive::run(&mut sim, &mut adv, 80);
+        let (_, record) = record_run(80, fresh, StaticAdversary::new(g.clone()), 5, 80);
         let final_out: Vec<ColorOutput> = record
             .outputs_at(79)
+            .unwrap()
             .iter()
             .map(|o| o.unwrap_or(ColorOutput::Undecided))
             .collect();
@@ -261,12 +261,17 @@ mod tests {
             &mut dynnet_runtime::rng::experiment_rng(2, "dcolor-churn"),
         );
         let rounds = 70;
-        let mut sim = Simulator::new(n, fresh, AllAtStart, SimConfig::sequential(6));
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.02, 3);
-        let record = drive::run(&mut sim, &mut adv, rounds);
-        let graphs: Vec<Graph> = record.trace.iter().collect();
-        let outputs: Vec<Vec<Option<ColorOutput>>> =
-            (0..rounds).map(|r| record.outputs_at(r).to_vec()).collect();
+        let (_, record) = record_run(
+            n,
+            fresh,
+            FlipChurnAdversary::new(&footprint, 0.02, 3),
+            6,
+            rounds,
+        );
+        let graphs: Vec<Graph> = record.trace().unwrap().iter().collect();
+        let outputs: Vec<Vec<Option<ColorOutput>>> = (0..rounds)
+            .map(|r| record.outputs_at(r).unwrap().to_vec())
+            .collect();
         let summary = verify_t_dynamic_run(&ColoringProblem, &graphs, &outputs, rounds, rounds - 1);
         assert!(summary.all_valid(), "{:?}", summary.invalid_rounds);
     }
@@ -281,13 +286,12 @@ mod tests {
         let joined = Graph::from_edges(n, [dynnet_graph::Edge::of(0, 1)]);
         let mut sim = Simulator::new(n, fresh, AllAtStart, SimConfig::sequential(0));
         for _ in 0..3 {
-            sim.step(&empty);
+            sim.step_streaming(&empty);
         }
-        let mut last = None;
         for _ in 0..10 {
-            last = Some(sim.step(&joined));
+            sim.step_streaming(&joined);
         }
-        let outs = last.unwrap().outputs;
+        let outs = sim.outputs();
         assert_eq!(outs[0], Some(ColorOutput::Colored(1)));
         assert_eq!(outs[1], Some(ColorOutput::Colored(1)));
         // And the allowed sets stay empty: the edge appeared after the start.
@@ -311,15 +315,14 @@ mod tests {
             }
         };
         let mut sim = Simulator::new(2, factory, AllAtStart, SimConfig::sequential(1));
-        sim.step(&g);
+        sim.step_streaming(&g);
         let node0 = sim.node(NodeId::new(0)).unwrap();
         assert_eq!(node0.palette(), &[1], "palette [d+1]\\{{2}} = {{1}}");
         // Within a couple more rounds node 0 takes color 1.
-        let mut out = ColorOutput::Undecided;
         for _ in 0..5 {
-            out = sim.step(&g).outputs[0].unwrap();
+            sim.step_streaming(&g);
         }
-        assert_eq!(out, ColorOutput::Colored(1));
+        assert_eq!(sim.outputs()[0], Some(ColorOutput::Colored(1)));
     }
 
     #[test]
@@ -330,16 +333,20 @@ mod tests {
             5.0,
             &mut dynnet_runtime::rng::experiment_rng(9, "dcolor-deg"),
         );
-        let mut sim = Simulator::new(n, fresh, AllAtStart, SimConfig::sequential(11));
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.05, 12);
         let rounds = 60;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let (_, record) = record_run(
+            n,
+            fresh,
+            FlipChurnAdversary::new(&footprint, 0.05, 12),
+            11,
+            rounds,
+        );
         // The union over the whole execution bounds every legal color.
-        let mut union = record.graph_at(0);
+        let mut union = record.graph_at(0).unwrap();
         for r in 1..rounds {
-            union = union.union(&record.graph_at(r));
+            union = union.union(&record.graph_at(r).unwrap());
         }
-        for (i, o) in record.outputs_at(rounds - 1).iter().enumerate() {
+        for (i, o) in record.outputs_at(rounds - 1).unwrap().iter().enumerate() {
             if let Some(ColorOutput::Colored(c)) = o {
                 assert!(*c <= union.degree(NodeId::new(i)) + 1);
             }

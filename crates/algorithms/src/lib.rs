@@ -68,3 +68,35 @@ pub mod mis {
 
 pub use coloring::{BasicColoring, DColor, SColor};
 pub use mis::{DMis, GhaffariMis, LubyMis, SMis};
+
+/// Test support: one recorded `Scenario` run.
+#[cfg(test)]
+pub(crate) mod testing {
+    use dynnet_adversary::{OutputAdversary, Runner, Scenario};
+    use dynnet_runtime::{AlgorithmFactory, AllAtStart, NodeAlgorithm, TraceRecorder};
+
+    /// Runs `factory` against `adversary` for `rounds` rounds (synchronous
+    /// start, sequential, seed `seed`), recording every round's graph and
+    /// outputs.
+    pub(crate) fn record_run<A, F, Adv>(
+        n: usize,
+        factory: F,
+        adversary: Adv,
+        seed: u64,
+        rounds: usize,
+    ) -> (Runner<A, F, AllAtStart, Adv>, TraceRecorder<A::Output>)
+    where
+        A: NodeAlgorithm,
+        F: AlgorithmFactory<A>,
+        Adv: OutputAdversary<A::Output>,
+    {
+        let mut recorder = TraceRecorder::new();
+        let runner = Scenario::new(n)
+            .algorithm(factory)
+            .adversary(adversary)
+            .seed(seed)
+            .rounds(rounds)
+            .run(&mut [&mut recorder]);
+        (runner, recorder)
+    }
+}

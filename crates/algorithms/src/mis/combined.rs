@@ -33,14 +33,14 @@ pub fn dynamic_mis(n: usize, window: usize) -> DynamicMisFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::record_run;
     use dynnet_adversary::{
-        drive, FlipChurnAdversary, LocallyStaticAdversary, MobilityAdversary, MobilityConfig,
+        FlipChurnAdversary, LocallyStaticAdversary, MobilityAdversary, MobilityConfig,
         StaticAdversary,
     };
     use dynnet_core::mis::{domination_violations, independence_violations};
     use dynnet_core::{recommended_window, verify_t_dynamic_run, HasBottom, MisProblem};
     use dynnet_graph::{generators, Graph};
-    use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
 
     #[test]
     fn t_dynamic_mis_in_every_round_under_churn() {
@@ -51,18 +51,18 @@ mod tests {
             5.0,
             &mut dynnet_runtime::rng::experiment_rng(11, "combined-mis"),
         );
-        let mut sim = Simulator::new(
+        let rounds = window * 3;
+        let (_, record) = record_run(
             n,
             dynamic_mis(n, window),
-            AllAtStart,
-            SimConfig::sequential(7),
+            FlipChurnAdversary::new(&footprint, 0.03, 13),
+            7,
+            rounds,
         );
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.03, 13);
-        let rounds = window * 3;
-        let record = drive::run(&mut sim, &mut adv, rounds);
-        let graphs: Vec<Graph> = record.trace.iter().collect();
-        let outputs: Vec<Vec<Option<MisOutput>>> =
-            (0..rounds).map(|r| record.outputs_at(r).to_vec()).collect();
+        let graphs: Vec<Graph> = record.trace().unwrap().iter().collect();
+        let outputs: Vec<Vec<Option<MisOutput>>> = (0..rounds)
+            .map(|r| record.outputs_at(r).unwrap().to_vec())
+            .collect();
         let summary = verify_t_dynamic_run(&MisProblem, &graphs, &outputs, window, window - 1);
         assert!(
             summary.all_valid(),
@@ -80,17 +80,17 @@ mod tests {
             0.25,
             &mut dynnet_runtime::rng::experiment_rng(12, "combined-mis-static"),
         );
-        let mut sim = Simulator::new(
+        let rounds = window * 3;
+        let (_, record) = record_run(
             n,
             dynamic_mis(n, window),
-            AllAtStart,
-            SimConfig::sequential(8),
+            StaticAdversary::new(g.clone()),
+            8,
+            rounds,
         );
-        let mut adv = StaticAdversary::new(g.clone());
-        let rounds = window * 3;
-        let record = drive::run(&mut sim, &mut adv, rounds);
         let out: Vec<MisOutput> = record
             .outputs_at(rounds - 1)
+            .unwrap()
             .iter()
             .map(|o| o.unwrap())
             .collect();
@@ -98,9 +98,13 @@ mod tests {
         assert_eq!(independence_violations(&g, &out), 0);
         assert_eq!(domination_violations(&g, &out), 0);
         let freeze_from = 2 * window;
-        let reference = record.outputs_at(freeze_from).to_vec();
+        let reference = record.outputs_at(freeze_from).unwrap().to_vec();
         for r in freeze_from..rounds {
-            assert_eq!(record.outputs_at(r), &reference[..], "changed in round {r}");
+            assert_eq!(
+                record.outputs_at(r).unwrap(),
+                &reference[..],
+                "changed in round {r}"
+            );
         }
     }
 
@@ -110,20 +114,22 @@ mod tests {
         let window = recommended_window(n);
         let base = generators::grid(7, 7);
         let seed_node = dynnet_graph::NodeId::new(24);
-        let mut adv = LocallyStaticAdversary::new(base, vec![seed_node], 2, 0.25, 37);
-        let mut sim = Simulator::new(
+        let rounds = window * 4;
+        let (_, record) = record_run(
             n,
             dynamic_mis(n, window),
-            AllAtStart,
-            SimConfig::sequential(9),
+            LocallyStaticAdversary::new(base, vec![seed_node], 2, 0.25, 37),
+            9,
+            rounds,
         );
-        let rounds = window * 4;
-        let record = drive::run(&mut sim, &mut adv, rounds);
         let stable_from = 2 * window;
-        let reference = record.outputs_at(stable_from)[seed_node.index()].unwrap();
+        let reference = record.outputs_at(stable_from).unwrap()[seed_node.index()].unwrap();
         assert!(reference.is_decided());
         for r in stable_from..rounds {
-            assert_eq!(record.outputs_at(r)[seed_node.index()].unwrap(), reference);
+            assert_eq!(
+                record.outputs_at(r).unwrap()[seed_node.index()].unwrap(),
+                reference
+            );
         }
     }
 
@@ -131,26 +137,26 @@ mod tests {
     fn works_under_mobility() {
         let n = 40;
         let window = recommended_window(n);
-        let mut adv = MobilityAdversary::new(
-            MobilityConfig {
-                n,
-                radius: 0.25,
-                min_speed: 0.002,
-                max_speed: 0.01,
-            },
-            41,
-        );
-        let mut sim = Simulator::new(
+        let rounds = window * 3;
+        let (_, record) = record_run(
             n,
             dynamic_mis(n, window),
-            AllAtStart,
-            SimConfig::sequential(10),
+            MobilityAdversary::new(
+                MobilityConfig {
+                    n,
+                    radius: 0.25,
+                    min_speed: 0.002,
+                    max_speed: 0.01,
+                },
+                41,
+            ),
+            10,
+            rounds,
         );
-        let rounds = window * 3;
-        let record = drive::run(&mut sim, &mut adv, rounds);
-        let graphs: Vec<Graph> = record.trace.iter().collect();
-        let outputs: Vec<Vec<Option<MisOutput>>> =
-            (0..rounds).map(|r| record.outputs_at(r).to_vec()).collect();
+        let graphs: Vec<Graph> = record.trace().unwrap().iter().collect();
+        let outputs: Vec<Vec<Option<MisOutput>>> = (0..rounds)
+            .map(|r| record.outputs_at(r).unwrap().to_vec())
+            .collect();
         let summary = verify_t_dynamic_run(&MisProblem, &graphs, &outputs, window, window - 1);
         assert!(
             summary.all_valid(),

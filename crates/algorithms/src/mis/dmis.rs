@@ -156,7 +156,8 @@ impl NodeAlgorithm for DMis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_adversary::{drive, FlipChurnAdversary, StaticAdversary};
+    use crate::testing::record_run;
+    use dynnet_adversary::{FlipChurnAdversary, StaticAdversary};
     use dynnet_core::mis::{domination_violations, independence_violations};
     use dynnet_core::{verify_t_dynamic_run, HasBottom, MisProblem};
     use dynnet_graph::{generators, Graph};
@@ -176,9 +177,9 @@ mod tests {
         };
         let mut sim = Simulator::new(6, factory, AllAtStart, SimConfig::sequential(1));
         for _ in 0..25 {
-            let rep = sim.step(&g);
-            assert_eq!(rep.outputs[0], Some(MisOutput::InMis));
-            assert_eq!(rep.outputs[1], Some(MisOutput::Dominated));
+            sim.step_streaming(&g);
+            assert_eq!(sim.outputs()[0], Some(MisOutput::InMis));
+            assert_eq!(sim.outputs()[1], Some(MisOutput::Dominated));
         }
     }
 
@@ -189,10 +190,13 @@ mod tests {
             6.0,
             &mut dynnet_runtime::rng::experiment_rng(2, "dmis"),
         );
-        let mut sim = Simulator::new(70, fresh, AllAtStart, SimConfig::sequential(2));
-        let mut adv = StaticAdversary::new(g.clone());
-        let record = drive::run(&mut sim, &mut adv, 80);
-        let out: Vec<MisOutput> = record.outputs_at(79).iter().map(|o| o.unwrap()).collect();
+        let (_, record) = record_run(70, fresh, StaticAdversary::new(g.clone()), 2, 80);
+        let out: Vec<MisOutput> = record
+            .outputs_at(79)
+            .unwrap()
+            .iter()
+            .map(|o| o.unwrap())
+            .collect();
         assert!(out.iter().all(|o| o.is_decided()));
         assert_eq!(independence_violations(&g, &out), 0);
         assert_eq!(domination_violations(&g, &out), 0);
@@ -207,12 +211,17 @@ mod tests {
             &mut dynnet_runtime::rng::experiment_rng(3, "dmis-churn"),
         );
         let rounds = 80;
-        let mut sim = Simulator::new(n, fresh, AllAtStart, SimConfig::sequential(4));
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.02, 7);
-        let record = drive::run(&mut sim, &mut adv, rounds);
-        let graphs: Vec<Graph> = record.trace.iter().collect();
-        let outputs: Vec<Vec<Option<MisOutput>>> =
-            (0..rounds).map(|r| record.outputs_at(r).to_vec()).collect();
+        let (_, record) = record_run(
+            n,
+            fresh,
+            FlipChurnAdversary::new(&footprint, 0.02, 7),
+            4,
+            rounds,
+        );
+        let graphs: Vec<Graph> = record.trace().unwrap().iter().collect();
+        let outputs: Vec<Vec<Option<MisOutput>>> = (0..rounds)
+            .map(|r| record.outputs_at(r).unwrap().to_vec())
+            .collect();
         let summary = verify_t_dynamic_run(&MisProblem, &graphs, &outputs, rounds, rounds - 1);
         assert!(summary.all_valid(), "{:?}", summary.invalid_rounds);
     }
@@ -223,17 +232,22 @@ mod tests {
         // edge present since the instance start can never both be in M.
         let n = 30;
         let footprint = generators::complete(n);
-        let mut sim = Simulator::new(n, fresh, AllAtStart, SimConfig::sequential(5));
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.3, 8);
         let rounds = 40;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let (_, record) = record_run(
+            n,
+            fresh,
+            FlipChurnAdversary::new(&footprint, 0.3, 8),
+            5,
+            rounds,
+        );
         // Intersection over the whole run.
-        let mut inter = record.graph_at(0);
+        let mut inter = record.graph_at(0).unwrap();
         for r in 1..rounds {
-            inter = inter.intersection(&record.graph_at(r));
+            inter = inter.intersection(&record.graph_at(r).unwrap());
         }
         let out: Vec<MisOutput> = record
             .outputs_at(rounds - 1)
+            .unwrap()
             .iter()
             .map(|o| o.unwrap())
             .collect();
@@ -248,11 +262,11 @@ mod tests {
         let empty = Graph::new(n);
         let joined = generators::path(2);
         let mut sim = Simulator::new(n, fresh, AllAtStart, SimConfig::sequential(6));
-        sim.step(&empty);
+        sim.step_streaming(&empty);
         assert_eq!(sim.outputs()[0], Some(MisOutput::InMis));
         assert_eq!(sim.outputs()[1], Some(MisOutput::InMis));
         for _ in 0..5 {
-            sim.step(&joined);
+            sim.step_streaming(&joined);
         }
         assert_eq!(sim.outputs()[0], Some(MisOutput::InMis));
         assert_eq!(sim.outputs()[1], Some(MisOutput::InMis));

@@ -159,7 +159,8 @@ impl NodeAlgorithm for SMis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynnet_adversary::{drive, FlipChurnAdversary, LocallyStaticAdversary, StaticAdversary};
+    use crate::testing::record_run;
+    use dynnet_adversary::{FlipChurnAdversary, LocallyStaticAdversary, StaticAdversary};
     use dynnet_core::{DynamicProblem, HasBottom, MisProblem};
     use dynnet_graph::{generators, Graph};
     use dynnet_runtime::{AllAtStart, SimConfig, Simulator};
@@ -185,16 +186,21 @@ mod tests {
             6.0,
             &mut dynnet_runtime::rng::experiment_rng(5, "smis"),
         );
-        let mut sim = Simulator::new(n, factory(n), AllAtStart, SimConfig::sequential(3));
-        let mut adv = FlipChurnAdversary::new(&footprint, 0.08, 11);
         let rounds = 70;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let (_, record) = record_run(
+            n,
+            factory(n),
+            FlipChurnAdversary::new(&footprint, 0.08, 11),
+            3,
+            rounds,
+        );
         let p = MisProblem;
         let mut orphan_rounds = 0usize;
         for r in 0..rounds {
-            let g = record.graph_at(r);
+            let g = record.graph_at(r).unwrap();
             let out: Vec<MisOutput> = record
                 .outputs_at(r)
+                .unwrap()
                 .iter()
                 .map(|o| o.unwrap_or(MisOutput::Undecided))
                 .collect();
@@ -203,6 +209,7 @@ mod tests {
             } else {
                 record
                     .outputs_at(r - 1)
+                    .unwrap()
                     .iter()
                     .map(|o| o.unwrap_or(MisOutput::Undecided))
                     .collect()
@@ -242,12 +249,11 @@ mod tests {
             6.0,
             &mut dynnet_runtime::rng::experiment_rng(6, "smis-static"),
         );
-        let mut sim = Simulator::new(n, factory(n), AllAtStart, SimConfig::sequential(4));
-        let mut adv = StaticAdversary::new(g.clone());
         let rounds = 150;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let (_, record) = record_run(n, factory(n), StaticAdversary::new(g.clone()), 4, rounds);
         let final_out: Vec<MisOutput> = record
             .outputs_at(rounds - 1)
+            .unwrap()
             .iter()
             .map(|o| o.unwrap())
             .collect();
@@ -255,9 +261,13 @@ mod tests {
         assert_eq!(dynnet_core::mis::independence_violations(&g, &final_out), 0);
         assert_eq!(dynnet_core::mis::domination_violations(&g, &final_out), 0);
         // Frozen over the last third of the run.
-        let reference = record.outputs_at(2 * rounds / 3);
+        let reference = record.outputs_at(2 * rounds / 3).unwrap();
         for r in (2 * rounds / 3)..rounds {
-            assert_eq!(record.outputs_at(r), reference, "changed in round {r}");
+            assert_eq!(
+                record.outputs_at(r).unwrap(),
+                reference,
+                "changed in round {r}"
+            );
         }
     }
 
@@ -268,15 +278,15 @@ mod tests {
         let g = generators::path(2);
         let factory = |v: NodeId| SMis::with_state(v, 2, MisOutput::InMis);
         let mut sim = Simulator::new(2, factory, AllAtStart, SimConfig::sequential(5));
-        let rep = sim.step(&g);
-        assert_eq!(rep.outputs[0], Some(MisOutput::Undecided));
-        assert_eq!(rep.outputs[1], Some(MisOutput::Undecided));
+        sim.step_streaming(&g);
+        assert_eq!(sim.outputs()[0], Some(MisOutput::Undecided));
+        assert_eq!(sim.outputs()[1], Some(MisOutput::Undecided));
         assert!(sim.node(NodeId::new(0)).unwrap().undo_events() >= 1);
         // Eventually exactly one of them is in M and the other dominated.
         let mut last = (MisOutput::Undecided, MisOutput::Undecided);
         for _ in 0..50 {
-            let rep = sim.step(&g);
-            last = (rep.outputs[0].unwrap(), rep.outputs[1].unwrap());
+            sim.step_streaming(&g);
+            last = (sim.outputs()[0].unwrap(), sim.outputs()[1].unwrap());
         }
         assert!(matches!(
             last,
@@ -302,15 +312,14 @@ mod tests {
             )
         };
         let mut sim = Simulator::new(2, factory, AllAtStart, SimConfig::sequential(6));
-        sim.step(&joined);
+        sim.step_streaming(&joined);
         assert_eq!(sim.outputs()[1], Some(MisOutput::Dominated));
-        sim.step(&empty);
+        sim.step_streaming(&empty);
         assert_eq!(sim.outputs()[1], Some(MisOutput::Undecided));
-        let mut last = MisOutput::Undecided;
         for _ in 0..30 {
-            last = sim.step(&empty).outputs[1].unwrap();
+            sim.step_streaming(&empty);
         }
-        assert_eq!(last, MisOutput::InMis);
+        assert_eq!(sim.outputs()[1], Some(MisOutput::InMis));
     }
 
     #[test]
@@ -319,7 +328,7 @@ mod tests {
         let g = generators::complete(n);
         let mut sim = Simulator::new(n, factory(n), AllAtStart, SimConfig::sequential(7));
         for _ in 0..60 {
-            sim.step(&g);
+            sim.step_streaming(&g);
             for i in 0..n {
                 let p = sim.node(NodeId::new(i)).unwrap().desire_level();
                 assert!(p >= 1.0 / (5.0 * n as f64) - 1e-12 && p <= 0.5 + 1e-12);
@@ -332,18 +341,25 @@ mod tests {
         let base = generators::grid(7, 7);
         let seed_node = NodeId::new(24);
         let n = 49;
-        let mut adv = LocallyStaticAdversary::new(base, vec![seed_node], 2, 0.3, 23);
-        let mut sim = Simulator::new(n, factory(n), AllAtStart, SimConfig::sequential(8));
         let rounds = 160;
-        let record = drive::run(&mut sim, &mut adv, rounds);
+        let (_, record) = record_run(
+            n,
+            factory(n),
+            LocallyStaticAdversary::new(base, vec![seed_node], 2, 0.3, 23),
+            8,
+            rounds,
+        );
         let stable_from = 80;
-        let reference = record.outputs_at(stable_from)[seed_node.index()].unwrap();
+        let reference = record.outputs_at(stable_from).unwrap()[seed_node.index()].unwrap();
         assert!(
             reference.is_decided(),
             "protected node decided after O(log n) rounds"
         );
         for r in stable_from..rounds {
-            assert_eq!(record.outputs_at(r)[seed_node.index()].unwrap(), reference);
+            assert_eq!(
+                record.outputs_at(r).unwrap()[seed_node.index()].unwrap(),
+                reference
+            );
         }
     }
 }

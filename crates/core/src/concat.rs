@@ -323,7 +323,7 @@ mod tests {
         let factory = toy_concat_factory(4, 2);
         let mut sim = Simulator::new(4, factory, AllAtStart, SimConfig::sequential(0));
         for _ in 0..10 {
-            sim.step(&g);
+            sim.step_streaming(&g);
         }
         let node = sim.node(NodeId::new(0)).unwrap();
         assert_eq!(node.num_instances(), 3);
@@ -337,18 +337,11 @@ mod tests {
         let g = generators::cycle(4);
         let factory = toy_concat_factory(3, 2);
         let mut sim = Simulator::new(4, factory, AllAtStart, SimConfig::sequential(0));
-        let mut last = None;
         for _ in 0..8 {
-            last = Some(sim.step(&g));
+            sim.step_streaming(&g);
         }
-        let outputs = last.unwrap().outputs;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..4 {
-            assert_eq!(
-                outputs[i],
-                Some(Some(i as u32)),
-                "backbone value propagated"
-            );
+        for (i, out) in sim.outputs().iter().enumerate() {
+            assert_eq!(*out, Some(Some(i as u32)), "backbone value propagated");
         }
         // The oldest instance at this point was created from a decided φ.
         let node = sim.node(NodeId::new(1)).unwrap();
@@ -364,13 +357,13 @@ mod tests {
         let g = generators::cycle(3);
         let factory = toy_concat_factory(3, 100);
         let mut sim = Simulator::new(3, factory, AllAtStart, SimConfig::sequential(0));
-        let mut reports = Vec::new();
-        for _ in 0..5 {
-            reports.push(sim.step(&g));
-        }
+        sim.step_streaming(&g);
         // Round 0: the single instance has run 1 round and decided the fallback.
-        assert_eq!(reports[0].outputs[0], Some(Some(1000)));
-        assert_eq!(reports[4].outputs[2], Some(Some(1002)));
+        assert_eq!(sim.outputs()[0], Some(Some(1000)));
+        for _ in 1..5 {
+            sim.step_streaming(&g);
+        }
+        assert_eq!(sim.outputs()[2], Some(Some(1002)));
     }
 
     #[test]
@@ -398,8 +391,8 @@ mod tests {
         let g: Graph = generators::complete(2);
         let factory = toy_concat_factory(4, 1);
         let mut sim = Simulator::new(2, factory, AllAtStart, SimConfig::sequential(0));
-        sim.step(&g);
-        sim.step(&g);
+        sim.step_streaming(&g);
+        sim.step_streaming(&g);
         let node = sim.node(NodeId::new(0)).unwrap();
         let tags: Vec<u64> = node.dalgs.iter().map(|(t, _)| *t).collect();
         assert_eq!(tags, vec![0, 1], "instances tagged by start round");

@@ -61,12 +61,9 @@ fn assert_incremental_matches_oracle<P, A, F, Adv>(
         .rounds(rounds)
         .run(&mut [&mut recorder, &mut incremental]);
 
-    let record = recorder.into_record();
-    let graphs: Vec<Graph> = (0..record.num_rounds())
-        .map(|r| record.graph_at(r))
-        .collect();
-    let outputs: Vec<Vec<Option<P::Output>>> = (0..record.num_rounds())
-        .map(|r| record.outputs_at(r).to_vec())
+    let graphs: Vec<Graph> = recorder.trace().unwrap().iter().collect();
+    let outputs: Vec<Vec<Option<P::Output>>> = (0..recorder.num_rounds())
+        .map(|r| recorder.outputs_at(r).unwrap().to_vec())
         .collect();
     let oracle = verify_t_dynamic_run(&problem, &graphs, &outputs, window, window - 1);
     let summary = incremental.into_summary();

@@ -248,123 +248,6 @@ impl DynamicGraphTrace {
     pub fn deltas(&self) -> &[GraphDelta] {
         &self.deltas
     }
-
-    /// Serializes the trace to a compact line-based text format (version
-    /// header, initial graph, one `delta` line per subsequent round). The
-    /// format is self-contained and parsed back by [`Self::from_text`];
-    /// it replaces the previous serde-based JSON persistence so that traces
-    /// can still be written to disk and replayed in offline builds.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "dynnet-trace v1");
-        let _ = writeln!(out, "n {}", self.n);
-        let active: Vec<String> = self
-            .initial
-            .active_nodes()
-            .map(|v| v.index().to_string())
-            .collect();
-        let _ = writeln!(out, "active {}", active.join(" "));
-        let edges: Vec<String> = self
-            .initial
-            .edges()
-            .map(|e| format!("{}-{}", e.u.index(), e.v.index()))
-            .collect();
-        let _ = writeln!(out, "edges {}", edges.join(" "));
-        for d in &self.deltas {
-            let mut parts: Vec<String> = Vec::new();
-            for e in &d.inserted {
-                parts.push(format!("+e{}-{}", e.u.index(), e.v.index()));
-            }
-            for e in &d.removed {
-                parts.push(format!("-e{}-{}", e.u.index(), e.v.index()));
-            }
-            for v in &d.woken {
-                parts.push(format!("+n{}", v.index()));
-            }
-            for v in &d.deactivated {
-                parts.push(format!("-n{}", v.index()));
-            }
-            let _ = writeln!(out, "delta {}", parts.join(" "));
-        }
-        out
-    }
-
-    /// Parses a trace from the format produced by [`Self::to_text`].
-    ///
-    /// All node ids are validated against the universe size `n` and
-    /// self-loop edges are rejected, so corrupted or truncated trace files
-    /// yield an `Err` instead of panicking downstream.
-    pub fn from_text(s: &str) -> Result<Self, String> {
-        fn parse_node(tok: &str, n: usize) -> Result<NodeId, String> {
-            let v: usize = tok.parse().map_err(|e| format!("bad node {tok}: {e}"))?;
-            if v >= n {
-                return Err(format!("node {v} out of range (n = {n})"));
-            }
-            Ok(NodeId::new(v))
-        }
-        fn parse_edge(tok: &str, n: usize) -> Result<Edge, String> {
-            let (a, b) = tok
-                .split_once('-')
-                .ok_or_else(|| format!("bad edge token: {tok}"))?;
-            let u = parse_node(a, n)?;
-            let v = parse_node(b, n)?;
-            if u == v {
-                return Err(format!("self-loop edge {tok} not allowed"));
-            }
-            Ok(Edge::of(u.index(), v.index()))
-        }
-        let mut lines = s.lines();
-        match lines.next() {
-            Some("dynnet-trace v1") => {}
-            other => return Err(format!("bad header: {other:?}")),
-        }
-        let n: usize = lines
-            .next()
-            .and_then(|l| l.strip_prefix("n "))
-            .ok_or("missing n line")?
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad n: {e}"))?;
-        let active_line = lines
-            .next()
-            .and_then(|l| l.strip_prefix("active"))
-            .ok_or("missing active line")?;
-        let edges_line = lines
-            .next()
-            .and_then(|l| l.strip_prefix("edges"))
-            .ok_or("missing edges line")?;
-        let mut initial = Graph::new_all_asleep(n);
-        for tok in active_line.split_whitespace() {
-            initial.activate(parse_node(tok, n)?);
-        }
-        for tok in edges_line.split_whitespace() {
-            let e = parse_edge(tok, n)?;
-            initial.insert_edge(e.u, e.v);
-        }
-        let mut trace = DynamicGraphTrace::new(initial);
-        for line in lines {
-            let body = line
-                .strip_prefix("delta")
-                .ok_or_else(|| format!("bad line: {line}"))?;
-            let mut delta = GraphDelta::default();
-            for tok in body.split_whitespace() {
-                if let Some(rest) = tok.strip_prefix("+e") {
-                    delta.inserted.push(parse_edge(rest, n)?);
-                } else if let Some(rest) = tok.strip_prefix("-e") {
-                    delta.removed.push(parse_edge(rest, n)?);
-                } else if let Some(rest) = tok.strip_prefix("+n") {
-                    delta.woken.push(parse_node(rest, n)?);
-                } else if let Some(rest) = tok.strip_prefix("-n") {
-                    delta.deactivated.push(parse_node(rest, n)?);
-                } else {
-                    return Err(format!("bad delta token: {tok}"));
-                }
-            }
-            trace.push_delta(delta);
-        }
-        Ok(trace)
-    }
 }
 
 /// Iterator over the graphs of a [`DynamicGraphTrace`].
@@ -503,64 +386,5 @@ mod tests {
         }
         // round 0→1: +{1,2}; round 1→2: -{0,1}; round 2→3: +{2,3}, +{0,3}
         assert_eq!(trace.total_edge_changes(), 1 + 1 + 2);
-    }
-
-    #[test]
-    fn trace_serializes() {
-        let mut trace = DynamicGraphTrace::new(g(3, &[(0, 1)]));
-        trace.push(&g(3, &[(1, 2)]));
-        let text = trace.to_text();
-        let back = DynamicGraphTrace::from_text(&text).unwrap();
-        assert_eq!(back.num_rounds(), 2);
-        assert_eq!(back.graph_at(0).edge_vec(), vec![Edge::of(0, 1)]);
-        assert_eq!(back.graph_at(1).edge_vec(), vec![Edge::of(1, 2)]);
-        assert_eq!(back.num_nodes(), 3);
-    }
-
-    #[test]
-    fn trace_text_roundtrips_activity_changes() {
-        let mut g0 = Graph::new_all_asleep(4);
-        g0.activate(NodeId::new(0));
-        g0.activate(NodeId::new(1));
-        g0.insert_edge(NodeId::new(0), NodeId::new(1));
-        let mut g1 = g0.clone();
-        g1.activate(NodeId::new(2));
-        g1.deactivate(NodeId::new(0));
-        g1.insert_edge(NodeId::new(1), NodeId::new(2));
-        let mut trace = DynamicGraphTrace::new(g0);
-        trace.push(&g1);
-        let back = DynamicGraphTrace::from_text(&trace.to_text()).unwrap();
-        let r1 = back.graph_at(1);
-        assert!(r1.is_active(NodeId::new(2)));
-        assert!(!r1.is_active(NodeId::new(0)));
-        assert_eq!(r1.edge_vec(), g1.edge_vec());
-    }
-
-    #[test]
-    fn trace_text_rejects_bad_values_without_panicking() {
-        // Structurally valid tokens with out-of-range or self-loop values
-        // must yield Err, not panic (corrupted trace files).
-        assert!(DynamicGraphTrace::from_text("dynnet-trace v1\nn 2\nactive 0 7\nedges ").is_err());
-        assert!(
-            DynamicGraphTrace::from_text("dynnet-trace v1\nn 3\nactive 0 1\nedges 1-1").is_err()
-        );
-        assert!(DynamicGraphTrace::from_text(
-            "dynnet-trace v1\nn 3\nactive 0 1\nedges 0-1\ndelta +e0-9"
-        )
-        .is_err());
-        assert!(DynamicGraphTrace::from_text(
-            "dynnet-trace v1\nn 3\nactive 0\nedges 0-1\ndelta +n9"
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn trace_text_rejects_garbage() {
-        assert!(DynamicGraphTrace::from_text("").is_err());
-        assert!(DynamicGraphTrace::from_text("dynnet-trace v1\nn x").is_err());
-        assert!(DynamicGraphTrace::from_text(
-            "dynnet-trace v1\nn 2\nactive 0 1\nedges 0-1\ndelta ?"
-        )
-        .is_err());
     }
 }

@@ -15,15 +15,18 @@
 //! * [`Simulator`] — drives one algorithm over a dynamic graph; sequential or
 //!   rayon-parallel per-node phases with bit-identical results. The
 //!   delta-native round primitive (`Simulator::step_delta`) patches a
-//!   persistent effective CSR in `O(|δ|)` per round; counters
+//!   persistent effective CSR in `O(|δ|)` per round; round 0 (and any
+//!   whole-graph round) goes through `Simulator::step_streaming`, which
+//!   rebuilds it. Neither clones the outputs — read them in place with
+//!   `Simulator::outputs`. Counters
 //!   (`Simulator::delta_stats`) pin the zero-clone/zero-rebuild invariant.
 //!   Each round's [`StepSummary`] also carries the exact *output churn*
 //!   (`changed_outputs`), tracked at publication time, which downstream
 //!   incremental consumers (the `O(|δ| + churn)` T-dynamic verifier in
 //!   `dynnet-core`) rely on to skip full output scans.
 //! * [`observer`] — streaming [`RoundObserver`]s fed a borrowed [`RoundView`]
-//!   per round (trace recording, churn stats, convergence tracking) instead
-//!   of materializing `O(n · rounds)` report vectors.
+//!   per round (trace recording, churn stats, convergence tracking), so no
+//!   consumer pays for more of the execution than it keeps.
 //! * [`rng`] — deterministic per-(seed, node, round) randomness.
 //! * [`wakeup`] — asynchronous wake-up schedules.
 
@@ -39,8 +42,8 @@ pub mod wakeup;
 
 pub use algorithm::{AlgorithmFactory, Incoming, NodeAlgorithm, NodeContext};
 pub use observer::{
-    ChurnStats, ConvergenceTracker, DeltaLogRecorder, ExecutionRecord, MetricsObserver,
-    ObserverFactory, RoundObserver, RoundView, TraceRecorder,
+    ChurnStats, ConvergenceTracker, DeltaLogRecorder, MetricsObserver, ObserverFactory,
+    RoundObserver, RoundView, TraceRecorder,
 };
-pub use simulator::{DeltaStats, RoundReport, SimConfig, Simulator, StepSummary};
+pub use simulator::{DeltaStats, SimConfig, Simulator, StepSummary};
 pub use wakeup::{AllAtStart, RandomWakeup, ScriptedWakeup, Staggered, WakeupSchedule};

@@ -1,10 +1,9 @@
 //! Streaming round observers.
 //!
-//! The paper's guarantees are statements about *whole executions*; the
-//! original API forced callers to materialize every round (`Vec<RoundReport>`
-//! with a full graph + output clone per round, `O(n · rounds)` memory) and
-//! run verification as a post-hoc pass. A [`RoundObserver`] instead receives
-//! a borrowed [`RoundView`] right after each round executes, so metrics,
+//! The paper's guarantees are statements about *whole executions*. Rather
+//! than materializing every round (a graph + output clone per round,
+//! `O(n · rounds)` memory) and verifying post hoc, a [`RoundObserver`]
+//! receives a borrowed [`RoundView`] right after each round executes, so metrics,
 //! T-dynamic verification, and trace recording run *while* the execution
 //! streams by, each keeping only the state it actually needs (an `O(window)`
 //! ring of graphs for verification, `O(n)` for churn tracking, deltas for
@@ -13,8 +12,8 @@
 //! Built-in observers:
 //!
 //! * [`TraceRecorder`] — records the dynamic graph sequence (and, unless
-//!   constructed with [`TraceRecorder::graphs_only`], the per-round reports)
-//!   into an [`ExecutionRecord`].
+//!   constructed with [`TraceRecorder::graphs_only`], every round's outputs)
+//!   in memory.
 //! * [`DeltaLogRecorder`] — streams the graph sequence to an on-disk delta
 //!   log (`dynnet_graph::codec`) in `O(1)` memory in the number of rounds,
 //!   for million-round traces that must survive the process.
@@ -27,7 +26,6 @@
 //! The streaming T-dynamic verifier lives in `dynnet-core`
 //! (`TDynamicVerifier`) because it needs the problem definitions.
 
-use crate::simulator::RoundReport;
 use dynnet_graph::{
     CodecError, CsrGraph, DeltaLogWriter, DynamicGraphTrace, Graph, GraphDelta, LogStats, NodeId,
 };
@@ -141,58 +139,22 @@ where
     }
 }
 
-/// The full record of one execution: the dynamic graph sequence plus
-/// (optionally) the per-round reports. Produced by [`TraceRecorder`].
-pub struct ExecutionRecord<O> {
-    /// The dynamic graph sequence of the execution (effective graphs `G_r`).
-    pub trace: DynamicGraphTrace,
-    /// Per-round reports (same length as the trace; empty if the recorder was
-    /// constructed with [`TraceRecorder::graphs_only`]).
-    pub reports: Vec<RoundReport<O>>,
-}
-
-impl<O> ExecutionRecord<O> {
-    /// Number of executed rounds.
-    pub fn num_rounds(&self) -> usize {
-        self.trace.num_rounds()
-    }
-
-    /// The outputs at the end of round `r`.
-    ///
-    /// Panics if the recorder did not record reports.
-    pub fn outputs_at(&self, r: usize) -> &[Option<O>] {
-        // INVARIANT: documented caller contract — one report was recorded
-        // per executed round, so r must be < num_rounds().
-        &self.reports[r].outputs
-    }
-
-    /// The communication graph of round `r`.
-    pub fn graph_at(&self, r: usize) -> Graph {
-        self.trace.graph_at(r)
-    }
-}
-
-/// Records the execution into an [`ExecutionRecord`].
-///
-/// By default both the graph sequence and the full per-round reports
-/// (including an `O(n)` output clone per round) are recorded — this is the
-/// legacy "materialize everything" behavior that `adversary::run` exposes.
-/// Use [`TraceRecorder::graphs_only`] to record just the graph sequence
-/// (stored as per-round deltas, so memory is proportional to topology change,
-/// not `n · rounds`).
+/// Records the dynamic graph sequence of an execution (the effective graphs
+/// `G_r`, stored as per-round deltas, so memory is proportional to topology
+/// change) and, unless constructed with [`TraceRecorder::graphs_only`], one
+/// output vector per round (an `O(n)` clone per round).
 pub struct TraceRecorder<O> {
     trace: Option<DynamicGraphTrace>,
-    reports: Vec<RoundReport<O>>,
-    record_reports: bool,
+    /// Per-round outputs; `None` for a graphs-only recorder.
+    outputs: Option<Vec<Vec<Option<O>>>>,
 }
 
 impl<O: Clone> TraceRecorder<O> {
-    /// Records the graph sequence and every per-round report.
+    /// Records the graph sequence and every round's outputs.
     pub fn new() -> Self {
         TraceRecorder {
             trace: None,
-            reports: Vec::new(),
-            record_reports: true,
+            outputs: Some(Vec::new()),
         }
     }
 
@@ -200,14 +162,28 @@ impl<O: Clone> TraceRecorder<O> {
     pub fn graphs_only() -> Self {
         TraceRecorder {
             trace: None,
-            reports: Vec::new(),
-            record_reports: false,
+            outputs: None,
         }
     }
 
     /// Number of rounds recorded so far.
     pub fn num_rounds(&self) -> usize {
         self.trace.as_ref().map_or(0, |t| t.num_rounds())
+    }
+
+    /// The communication graph of round `r`, or `None` if round `r` was not
+    /// recorded.
+    pub fn graph_at(&self, r: usize) -> Option<Graph> {
+        self.trace
+            .as_ref()
+            .filter(|t| r < t.num_rounds())
+            .map(|t| t.graph_at(r))
+    }
+
+    /// The outputs at the end of round `r`, or `None` if round `r` was not
+    /// recorded or the recorder is [`TraceRecorder::graphs_only`].
+    pub fn outputs_at(&self, r: usize) -> Option<&[Option<O>]> {
+        self.outputs.as_ref()?.get(r).map(Vec::as_slice)
     }
 
     /// The recorded graph sequence, or `None` if no round was recorded.
@@ -219,20 +195,6 @@ impl<O: Clone> TraceRecorder<O> {
     /// round was recorded.
     pub fn into_trace(self) -> Option<DynamicGraphTrace> {
         self.trace
-    }
-
-    /// Consumes the recorder into an [`ExecutionRecord`].
-    ///
-    /// A recorder that never saw a round yields the empty record (a
-    /// zero-node, single-round trace with no reports) rather than
-    /// panicking — `num_rounds() >= 1` distinguishes a real recording.
-    pub fn into_record(self) -> ExecutionRecord<O> {
-        ExecutionRecord {
-            trace: self
-                .trace
-                .unwrap_or_else(|| DynamicGraphTrace::new(Graph::new(0))),
-            reports: self.reports,
-        }
     }
 }
 
@@ -252,14 +214,8 @@ impl<O: Clone> RoundObserver<O> for TraceRecorder<O> {
             (Some(t), None) => t.push(view.current_graph()),
             (None, _) => self.trace = Some(DynamicGraphTrace::new(view.current_graph().clone())),
         }
-        if self.record_reports {
-            self.reports.push(RoundReport {
-                round: view.round,
-                graph: Arc::clone(view.graph),
-                outputs: view.outputs.to_vec(),
-                newly_awake: view.newly_awake.to_vec(),
-                num_awake: view.num_awake,
-            });
+        if let Some(outputs) = &mut self.outputs {
+            outputs.push(view.outputs.to_vec());
         }
     }
 }
@@ -670,11 +626,10 @@ mod tests {
         );
         rec.finish();
         assert_eq!(rec.num_rounds(), 2);
-        let record = rec.into_record();
-        assert_eq!(record.num_rounds(), 2);
-        assert_eq!(record.graph_at(1).edge_vec(), vec![Edge::of(1, 2)]);
-        assert_eq!(record.outputs_at(1)[1], Some(2));
-        assert_eq!(record.reports[0].newly_awake, vec![NodeId::new(0)]);
+        assert_eq!(rec.graph_at(1).unwrap().edge_vec(), vec![Edge::of(1, 2)]);
+        assert_eq!(rec.outputs_at(0), Some(&[Some(1), None, None][..]));
+        assert_eq!(rec.outputs_at(1).unwrap()[1], Some(2));
+        assert_eq!(rec.into_trace().unwrap().num_rounds(), 2);
     }
 
     #[test]
@@ -685,9 +640,21 @@ mod tests {
         )));
         let mut rec: TraceRecorder<u32> = TraceRecorder::graphs_only();
         send_round(&mut rec, 0, &g0, &[Some(1), Some(2)], &[]);
-        let record = rec.into_record();
-        assert_eq!(record.trace.num_rounds(), 1);
-        assert!(record.reports.is_empty());
+        assert_eq!(rec.num_rounds(), 1);
+        assert!(rec.graph_at(0).is_some());
+        assert_eq!(rec.outputs_at(0), None);
+    }
+
+    #[test]
+    fn unrecorded_rounds_are_none_not_panics() {
+        let g0 = Arc::new(CsrGraph::from_graph(&Graph::new(2)));
+        let mut rec: TraceRecorder<u32> = TraceRecorder::new();
+        assert_eq!(rec.outputs_at(0), None);
+        assert!(rec.graph_at(0).is_none());
+        send_round(&mut rec, 0, &g0, &[Some(1), Some(2)], &[]);
+        assert!(rec.outputs_at(0).is_some());
+        assert_eq!(rec.outputs_at(1), None);
+        assert!(rec.graph_at(1).is_none());
     }
 
     #[test]

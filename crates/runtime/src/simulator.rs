@@ -3,7 +3,8 @@
 //! One [`Simulator`] drives one distributed algorithm (one [`NodeAlgorithm`]
 //! instance per awake node) over a dynamic graph supplied round-by-round by
 //! the caller (usually an adversary from `dynnet-adversary`). Each call to
-//! [`Simulator::step`] executes one round of the paper's model:
+//! [`Simulator::step_delta`] (or, for a whole-graph rebuild,
+//! [`Simulator::step_streaming`]) executes one round of the paper's model:
 //!
 //! 1. the caller passes the adversary's graph `G_r`,
 //! 2. nodes that become active wake up,
@@ -30,16 +31,19 @@
 //! [`SimConfig::budget_aware_threshold`].
 //!
 //! Two round entry points exist: [`Simulator::step_streaming`] takes the
-//! whole graph and rebuilds the effective (awake-restricted) CSR snapshot,
-//! while [`Simulator::step_delta`] takes the round's [`GraphDelta`] and
-//! patches a persistent effective CSR in `O(|δ|)` — the fast path of the
-//! delta-native `Scenario` pipeline. Both paths produce identical executions.
+//! whole graph and rebuilds the effective (awake-restricted) CSR snapshot
+//! (round 0, and the from-scratch reference in tests), while
+//! [`Simulator::step_delta`] takes the round's [`GraphDelta`] and patches a
+//! persistent effective CSR in `O(|δ|)` — the fast path of the delta-native
+//! `Scenario` pipeline. Both paths produce identical executions. Neither
+//! clones the outputs: callers read them in place via
+//! [`Simulator::outputs`].
 
 use crate::algorithm::{AlgorithmFactory, NodeAlgorithm, NodeContext};
 use crate::node_state::AwakeSet;
 use crate::rng::node_round_rng;
 use crate::wakeup::WakeupSchedule;
-use dynnet_graph::{CsrApplyOutcome, CsrGraph, DynamicGraphTrace, Edge, Graph, GraphDelta, NodeId};
+use dynnet_graph::{CsrApplyOutcome, CsrGraph, Edge, Graph, GraphDelta, NodeId};
 use std::sync::Arc;
 
 /// Simulator configuration.
@@ -99,26 +103,6 @@ impl SimConfig {
     }
 }
 
-/// The result of executing one round, including a full clone of the output
-/// vector (the legacy "materialize everything" shape; streaming consumers use
-/// [`Simulator::step_streaming`] + [`crate::observer::RoundObserver`] and
-/// avoid the per-round `O(n)` output copy).
-#[derive(Clone, Debug)]
-pub struct RoundReport<O> {
-    /// The round that was executed (0-based).
-    pub round: u64,
-    /// Snapshot of the communication graph `G_r` used in this round (shared,
-    /// not cloned: every consumer of the same round sees the same `Arc`).
-    pub graph: Arc<CsrGraph>,
-    /// Output of every node (`None` for nodes that have not woken up yet —
-    /// the paper's nodes outside `V_r`).
-    pub outputs: Vec<Option<O>>,
-    /// Nodes that woke up in this round.
-    pub newly_awake: Vec<NodeId>,
-    /// Number of awake nodes at the end of the round.
-    pub num_awake: usize,
-}
-
 /// The lightweight result of [`Simulator::step_streaming`] /
 /// [`Simulator::step_delta`]: everything a
 /// [`crate::observer::RoundObserver`] needs that is not borrowed directly
@@ -174,7 +158,7 @@ pub struct DeltaStats {
 }
 
 /// Drives one [`NodeAlgorithm`] over a dynamic graph, one round per
-/// [`Simulator::step`] call.
+/// [`Simulator::step_delta`] / [`Simulator::step_streaming`] call.
 pub struct Simulator<A, F, W>
 where
     A: NodeAlgorithm,
@@ -281,32 +265,18 @@ where
     }
 
     /// Executes one round on the communication graph `graph` (the adversary's
-    /// `G_r` for `r = self.round()`).
+    /// `G_r` for `r = self.round()`), rebuilding the effective graph from
+    /// scratch. Consumers read the outputs in place via
+    /// [`Simulator::outputs`].
     ///
     /// Nodes that have not woken up yet (because their wake-up schedule has
     /// not fired) are not part of `V_r` in the paper's model; they are pruned
     /// from the *effective* communication graph of the round, which is the
-    /// graph reported in [`RoundReport::graph`] and used for message
-    /// delivery.
-    pub fn step(&mut self, graph: &Graph) -> RoundReport<A::Output> {
-        let summary = self.step_streaming(graph);
-        RoundReport {
-            round: summary.round,
-            graph: summary.graph,
-            outputs: self.outputs.clone(),
-            newly_awake: summary.newly_awake,
-            num_awake: summary.num_awake,
-        }
-    }
-
-    /// Executes one round like [`Simulator::step`], but without cloning the
-    /// output vector into the result: consumers read the outputs in place via
-    /// [`Simulator::outputs`]. The effective graph (the adversary's graph
-    /// restricted to awake nodes) is built directly from `graph` — the old
-    /// per-round "clone the whole `Graph`, deactivate the sleepers" dance is
-    /// gone. Streaming callers that hold the round's [`GraphDelta`] should
-    /// use [`Simulator::step_delta`], which patches the effective graph
-    /// incrementally instead of rebuilding it.
+    /// graph reported in [`StepSummary::graph`] and used for message
+    /// delivery. The effective graph is built directly from `graph`, with no
+    /// intermediate `Graph` clone. Streaming callers that hold the round's
+    /// [`GraphDelta`] should use [`Simulator::step_delta`], which patches the
+    /// effective graph incrementally instead of rebuilding it.
     pub fn step_streaming(&mut self, graph: &Graph) -> StepSummary {
         assert_eq!(graph.num_nodes(), self.n, "graph universe mismatch");
         let round = self.next_round;
@@ -511,17 +481,6 @@ where
     /// Perf counters of the incremental round pipeline.
     pub fn delta_stats(&self) -> DeltaStats {
         self.stats
-    }
-
-    /// Runs the simulator over every graph of a recorded trace and returns
-    /// the per-round reports.
-    pub fn run_trace(&mut self, trace: &DynamicGraphTrace) -> Vec<RoundReport<A::Output>> {
-        trace.iter().map(|g| self.step(&g)).collect()
-    }
-
-    /// Runs `rounds` rounds on a static graph.
-    pub fn run_static(&mut self, graph: &Graph, rounds: usize) -> Vec<RoundReport<A::Output>> {
-        (0..rounds).map(|_| self.step(graph)).collect()
     }
 
     fn context<'a>(
@@ -760,13 +719,15 @@ mod tests {
         let n = 8;
         let g = generators::path(n);
         let mut sim = Simulator::new(n, max_flood_factory, AllAtStart, SimConfig::sequential(1));
-        let reports = sim.run_static(&g, n);
-        let last = reports.last().unwrap();
-        for i in 0..n {
-            assert_eq!(last.outputs[i], Some((n - 1) as u32));
-        }
+        sim.step_streaming(&g);
         // After a single round only direct neighbors of the max know it.
-        assert_eq!(reports[0].outputs[0], Some(1));
+        assert_eq!(sim.outputs()[0], Some(1));
+        for _ in 1..n {
+            sim.step_streaming(&g);
+        }
+        for i in 0..n {
+            assert_eq!(sim.outputs()[i], Some((n - 1) as u32));
+        }
     }
 
     #[test]
@@ -777,14 +738,14 @@ mod tests {
             rounds: vec![0, 2, 5],
         };
         let mut sim = Simulator::new(n, max_flood_factory, wake, SimConfig::sequential(0));
-        let r0 = sim.step(&g);
-        assert!(r0.outputs[0].is_some());
-        assert!(r0.outputs[1].is_none());
+        let r0 = sim.step_streaming(&g);
+        assert!(sim.outputs()[0].is_some());
+        assert!(sim.outputs()[1].is_none());
         assert_eq!(r0.newly_awake, vec![NodeId::new(0)]);
-        let _r1 = sim.step(&g);
-        let r2 = sim.step(&g);
-        assert!(r2.outputs[1].is_some());
-        assert!(r2.outputs[2].is_none());
+        sim.step_streaming(&g);
+        let r2 = sim.step_streaming(&g);
+        assert!(sim.outputs()[1].is_some());
+        assert!(sim.outputs()[2].is_none());
         assert_eq!(r2.num_awake, 2);
         assert_eq!(sim.woke_at(NodeId::new(1)), Some(2));
     }
@@ -796,10 +757,10 @@ mod tests {
         let empty = Graph::new(n);
         let connected = Graph::from_edges(n, [Edge::of(0, 1)]);
         let mut sim = Simulator::new(n, max_flood_factory, AllAtStart, SimConfig::sequential(0));
-        let r0 = sim.step(&empty);
-        assert_eq!(r0.outputs[0], Some(0));
-        let r1 = sim.step(&connected);
-        assert_eq!(r1.outputs[0], Some(1));
+        sim.step_streaming(&empty);
+        assert_eq!(sim.outputs()[0], Some(0));
+        sim.step_streaming(&connected);
+        assert_eq!(sim.outputs()[0], Some(1));
     }
 
     #[test]
@@ -829,26 +790,25 @@ mod tests {
             },
         );
         for _ in 0..5 {
-            let a = seq.step(&g);
-            let b = par.step(&g);
-            assert_eq!(a.outputs, b.outputs);
+            seq.step_streaming(&g);
+            par.step_streaming(&g);
+            assert_eq!(seq.outputs(), par.outputs());
         }
     }
 
     #[test]
-    fn run_trace_replays_each_round() {
+    fn step_delta_replays_each_trace_round() {
         let g0 = Graph::from_edges(3, [Edge::of(0, 1)]);
         let g1 = Graph::from_edges(3, [Edge::of(1, 2)]);
-        let mut trace = DynamicGraphTrace::new(g0);
+        let mut trace = dynnet_graph::DynamicGraphTrace::new(g0.clone());
         trace.push(&g1);
         let mut sim = Simulator::new(3, max_flood_factory, AllAtStart, SimConfig::sequential(0));
-        let reports = sim.run_trace(&trace);
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].round, 0);
-        assert_eq!(reports[1].round, 1);
+        let s0 = sim.step_streaming(&g0);
+        let s1 = sim.step_delta(&g1, &trace.deltas()[0]);
+        assert_eq!((s0.round, s1.round), (0, 1));
         // Node 0 hears 1 in round 0; node 1 hears 2 in round 1; 0 never hears 2.
-        assert_eq!(reports[1].outputs[0], Some(1));
-        assert_eq!(reports[1].outputs[1], Some(2));
+        assert_eq!(sim.outputs()[0], Some(1));
+        assert_eq!(sim.outputs()[1], Some(2));
     }
 
     #[test]
@@ -907,7 +867,7 @@ mod tests {
     fn node_accessor_exposes_state() {
         let g = generators::complete(3);
         let mut sim = Simulator::new(3, max_flood_factory, AllAtStart, SimConfig::sequential(0));
-        sim.step(&g);
+        sim.step_streaming(&g);
         assert_eq!(sim.node(NodeId::new(0)).unwrap().best, 2);
         assert_eq!(sim.round(), 1);
         assert!(sim.is_awake(NodeId::new(2)));

@@ -340,20 +340,23 @@ fn recorded_delta_trace_matches_whole_graph_replay() {
         .seed(2)
         .rounds(rounds)
         .run(&mut [&mut recorder]);
-    let record = recorder.into_record();
 
-    // Reference: same execution through the legacy shim (whole-graph path).
+    // Reference: the same execution on the whole-graph path (`next_graph` +
+    // `step_streaming`, effective graph rebuilt every round).
     let mut sim = Simulator::new(n, flood, wake, SimConfig::sequential(2));
     let mut adv = MarkovChurnAdversary::new(&fp, 0.3, 0.2, true, 41);
-    let legacy = run(&mut sim, &mut adv, rounds);
-
-    assert_eq!(record.num_rounds(), legacy.num_rounds());
+    let mut graph = OutputAdversary::<u32>::initial_graph(&mut adv);
+    assert_eq!(recorder.num_rounds(), rounds);
     for r in 0..rounds {
+        if r > 0 {
+            graph = OutputAdversary::next_graph(&mut adv, r as u64, &graph, sim.outputs());
+        }
+        let summary = sim.step_streaming(&graph);
         assert_eq!(
-            record.graph_at(r),
-            legacy.graph_at(r),
+            recorder.graph_at(r),
+            Some(summary.graph.to_graph()),
             "effective graph of round {r}"
         );
-        assert_eq!(record.outputs_at(r), legacy.outputs_at(r), "round {r}");
+        assert_eq!(recorder.outputs_at(r), Some(sim.outputs()), "round {r}");
     }
 }

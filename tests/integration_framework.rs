@@ -136,9 +136,8 @@ fn sequential_and_parallel_execution_produce_identical_results() {
             .parallel_threshold(0)
             .rounds(rounds)
             .run(&mut [&mut recorder]);
-        let record = recorder.into_record();
         (0..rounds)
-            .map(|r| record.outputs_at(r).to_vec())
+            .map(|r| recorder.outputs_at(r).unwrap().to_vec())
             .collect::<Vec<_>>()
     };
 

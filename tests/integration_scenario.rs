@@ -1,13 +1,13 @@
 //! Integration tests for the unified `Scenario` runner API and its streaming
 //! observers: determinism through the builder, sequential-vs-parallel
 //! agreement, equivalence of the streaming `TDynamicVerifier` with the batch
-//! `verify_t_dynamic_run`, and equivalence of the `Scenario` path with the
-//! legacy `adversary::run` shim.
+//! `verify_t_dynamic_run`, and equivalence of the `Scenario` path with a
+//! hand-wired whole-graph simulator loop.
 
 use dynnet::prelude::*;
 use dynnet::runtime::rng::experiment_rng;
 
-fn record_run(seed: u64, parallel: bool) -> ExecutionRecord<ColorOutput> {
+fn record_run(seed: u64, parallel: bool) -> TraceRecorder<ColorOutput> {
     let n = 48;
     let window = recommended_window(n);
     let footprint = generators::erdos_renyi_avg_degree(n, 5.0, &mut experiment_rng(1, "scn"));
@@ -20,7 +20,7 @@ fn record_run(seed: u64, parallel: bool) -> ExecutionRecord<ColorOutput> {
         .parallel_threshold(0)
         .rounds(2 * window)
         .run(&mut [&mut recorder]);
-    recorder.into_record()
+    recorder
 }
 
 #[test]
@@ -34,13 +34,7 @@ fn same_seed_gives_bit_identical_records_through_scenario() {
             b.outputs_at(r),
             "outputs diverge in round {r}"
         );
-        assert_eq!(
-            a.graph_at(r).edge_vec(),
-            b.graph_at(r).edge_vec(),
-            "graphs diverge in round {r}"
-        );
-        assert_eq!(a.reports[r].newly_awake, b.reports[r].newly_awake);
-        assert_eq!(a.reports[r].num_awake, b.reports[r].num_awake);
+        assert_eq!(a.graph_at(r), b.graph_at(r), "graphs diverge in round {r}");
     }
     // A different seed must diverge somewhere.
     let c = record_run(8, false);
@@ -83,10 +77,10 @@ fn streaming_verifier_matches_batch_verifier_on_a_recorded_run() {
         .run(&mut [&mut streaming, &mut recorder]);
     let streaming_summary = streaming.into_summary();
 
-    let record = recorder.into_record();
-    let graphs: Vec<Graph> = record.trace.iter().collect();
-    let outputs: Vec<Vec<Option<MisOutput>>> =
-        (0..rounds).map(|r| record.outputs_at(r).to_vec()).collect();
+    let graphs: Vec<Graph> = recorder.trace().unwrap().iter().collect();
+    let outputs: Vec<Vec<Option<MisOutput>>> = (0..rounds)
+        .map(|r| recorder.outputs_at(r).unwrap().to_vec())
+        .collect();
     let batch_summary = verify_t_dynamic_run(&MisProblem, &graphs, &outputs, window, window - 1);
 
     assert_eq!(
@@ -121,23 +115,13 @@ fn streaming_verifier_matches_batch_verifier_on_a_recorded_run() {
 }
 
 #[test]
-fn scenario_path_equals_legacy_run_shim() {
+fn scenario_path_equals_whole_graph_wiring() {
     let n = 32;
     let window = recommended_window(n);
     let rounds = window + 5;
     let footprint = generators::erdos_renyi_avg_degree(n, 5.0, &mut experiment_rng(3, "scn3"));
 
-    // Legacy wiring.
-    let mut sim = Simulator::new(
-        n,
-        dynamic_coloring(window),
-        AllAtStart,
-        SimConfig::sequential(4),
-    );
-    let mut adv = FlipChurnAdversary::new(&footprint, 0.02, 21);
-    let legacy = run(&mut sim, &mut adv, rounds);
-
-    // Scenario wiring.
+    // Scenario wiring (delta path).
     let mut recorder = TraceRecorder::new();
     Scenario::new(n)
         .algorithm(dynamic_coloring(window))
@@ -145,14 +129,26 @@ fn scenario_path_equals_legacy_run_shim() {
         .seed(4)
         .rounds(rounds)
         .run(&mut [&mut recorder]);
-    let record = recorder.into_record();
 
-    assert_eq!(legacy.num_rounds(), record.num_rounds());
+    // Hand wiring: whole graphs, effective graph rebuilt every round.
+    let mut sim = Simulator::new(
+        n,
+        dynamic_coloring(window),
+        AllAtStart,
+        SimConfig::sequential(4),
+    );
+    let mut adv = FlipChurnAdversary::new(&footprint, 0.02, 21);
+    let mut graph = Adversary::initial_graph(&mut adv);
+    assert_eq!(recorder.num_rounds(), rounds);
     for r in 0..rounds {
-        assert_eq!(legacy.outputs_at(r), record.outputs_at(r), "round {r}");
+        if r > 0 {
+            graph = Adversary::next_graph(&mut adv, r as u64, &graph);
+        }
+        let summary = sim.step_streaming(&graph);
+        assert_eq!(recorder.outputs_at(r), Some(sim.outputs()), "round {r}");
         assert_eq!(
-            legacy.graph_at(r).edge_vec(),
-            record.graph_at(r).edge_vec(),
+            recorder.graph_at(r),
+            Some(summary.graph.to_graph()),
             "round {r}"
         );
     }
