@@ -1,11 +1,10 @@
 //! Streaming round observers.
 //!
-//! The paper's guarantees are statements about *whole executions*. Rather
-//! than materializing every round (a graph + output clone per round,
-//! `O(n · rounds)` memory) and verifying post hoc, a [`RoundObserver`]
-//! receives a borrowed [`RoundView`] right after each round executes, so metrics,
-//! T-dynamic verification, and trace recording run *while* the execution
-//! streams by, each keeping only the state it actually needs (an `O(window)`
+//! The paper's guarantees are statements about *whole executions*. A
+//! [`RoundObserver`] receives a borrowed [`RoundView`] right after each round
+//! executes, so metrics, T-dynamic verification, and trace recording run
+//! *while* the execution streams by instead of over an `O(n · rounds)`
+//! materialized record, each keeping only the state it needs (an `O(window)`
 //! ring of graphs for verification, `O(n)` for churn tracking, deltas for
 //! trace recording).
 //!
