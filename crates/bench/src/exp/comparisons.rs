@@ -43,7 +43,10 @@ struct IntersectionViolations {
 
 impl RoundObserver<MisOutput> for IntersectionViolations {
     fn on_round(&mut self, view: &RoundView<'_, MisOutput>) {
-        self.window.push(view.current_graph());
+        match view.delta {
+            Some(delta) if !self.window.is_empty() => self.window.push_delta(delta),
+            _ => self.window.push(view.current_graph()),
+        };
         let out: Vec<MisOutput> = view
             .outputs
             .iter()

@@ -16,7 +16,7 @@
 
 use crate::output::{ColorOutput, HasBottom};
 use crate::problem::DynamicProblem;
-use dynnet_graph::{Graph, NodeId};
+use dynnet_graph::{Adjacency, Graph, NodeId};
 
 /// The (degree+1)-coloring problem `(CP, CC)`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -29,21 +29,21 @@ impl DynamicProblem for ColoringProblem {
         "(degree+1)-coloring"
     }
 
-    fn partial_packing_ok_at(&self, g: &Graph, v: NodeId, out: &[ColorOutput]) -> bool {
+    fn partial_packing_ok_at(&self, g: &impl Adjacency, v: NodeId, out: &[ColorOutput]) -> bool {
         let Some(c) = out[v.index()].color() else {
             return true;
         };
         g.neighbors(v).all(|w| out[w.index()].color() != Some(c))
     }
 
-    fn partial_covering_ok_at(&self, g: &Graph, v: NodeId, out: &[ColorOutput]) -> bool {
+    fn partial_covering_ok_at(&self, g: &impl Adjacency, v: NodeId, out: &[ColorOutput]) -> bool {
         match out[v.index()].color() {
             None => true,
             Some(c) => c >= 1 && c <= g.degree(v) + 1,
         }
     }
 
-    fn covering_solution_ok_at(&self, g: &Graph, v: NodeId, out: &[ColorOutput]) -> bool {
+    fn covering_solution_ok_at(&self, g: &impl Adjacency, v: NodeId, out: &[ColorOutput]) -> bool {
         out[v.index()].is_decided() && self.partial_covering_ok_at(g, v, out)
     }
 }

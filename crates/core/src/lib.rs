@@ -44,7 +44,7 @@ pub use problem::DynamicProblem;
 pub use tdynamic::{check_t_dynamic, node_verdict, NodeVerdict, TDynamicReport};
 pub use verify::{
     last_change_round, output_churn_series, verify_locally_static, verify_t_dynamic_run,
-    InvalidRounds, TDynamicVerifier, VerificationSummary, VerifyError, ViolationLedger,
+    InvalidRounds, TDynamicVerifier, VerificationSummary, ViolationLedger,
 };
 
 /// Recommended window size `T = Θ(log n)` for the paper's algorithms.

@@ -13,7 +13,7 @@
 
 use crate::output::MisOutput;
 use crate::problem::DynamicProblem;
-use dynnet_graph::{Graph, NodeId};
+use dynnet_graph::{Adjacency, Graph, NodeId};
 
 /// The MIS problem `(MP, MC)`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -26,21 +26,21 @@ impl DynamicProblem for MisProblem {
         "maximal independent set"
     }
 
-    fn partial_packing_ok_at(&self, g: &Graph, v: NodeId, out: &[MisOutput]) -> bool {
+    fn partial_packing_ok_at(&self, g: &impl Adjacency, v: NodeId, out: &[MisOutput]) -> bool {
         if out[v.index()] != MisOutput::InMis {
             return true;
         }
         g.neighbors(v).all(|w| out[w.index()] != MisOutput::InMis)
     }
 
-    fn partial_covering_ok_at(&self, g: &Graph, v: NodeId, out: &[MisOutput]) -> bool {
+    fn partial_covering_ok_at(&self, g: &impl Adjacency, v: NodeId, out: &[MisOutput]) -> bool {
         if out[v.index()] != MisOutput::Dominated {
             return true;
         }
         g.neighbors(v).any(|w| out[w.index()] == MisOutput::InMis)
     }
 
-    fn covering_solution_ok_at(&self, g: &Graph, v: NodeId, out: &[MisOutput]) -> bool {
+    fn covering_solution_ok_at(&self, g: &impl Adjacency, v: NodeId, out: &[MisOutput]) -> bool {
         // In a full solution every node must be decided and every node must
         // be in the MIS or dominated *by an MIS neighbor in g* — i.e. the MIS
         // is a dominating set of g.

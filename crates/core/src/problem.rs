@@ -15,10 +15,12 @@
 //!   solution checks on the intersection/union graphs.
 //!
 //! The trait exposes per-node violation queries so that the experiment
-//! harness can count violations instead of only seeing a boolean.
+//! harness can count violations instead of only seeing a boolean. The
+//! per-node queries take any [`Adjacency`] — a [`Graph`] or a window view
+//! of `G^∩T_r` / `G^∪T_r` read in place from a `GraphWindow`.
 
 use crate::output::HasBottom;
-use dynnet_graph::{Graph, NodeId};
+use dynnet_graph::{Adjacency, Graph, NodeId};
 
 /// A graph problem decomposed into a packing part and a covering part, with
 /// locally checkable validity.
@@ -39,21 +41,21 @@ pub trait DynamicProblem: Send + Sync {
     /// check that must be satisfiable by *some* full extension; for the
     /// problems considered here the characterizations from the paper are
     /// used (e.g. "no two adjacent decided nodes share a color").
-    fn partial_packing_ok_at(&self, g: &Graph, v: NodeId, out: &[Self::Output]) -> bool;
+    fn partial_packing_ok_at(&self, g: &impl Adjacency, v: NodeId, out: &[Self::Output]) -> bool;
 
     /// Returns `true` if the *covering* LCL condition at `v` holds for *all*
     /// extensions of the decided part of `out` (Definition 3.2).
-    fn partial_covering_ok_at(&self, g: &Graph, v: NodeId, out: &[Self::Output]) -> bool;
+    fn partial_covering_ok_at(&self, g: &impl Adjacency, v: NodeId, out: &[Self::Output]) -> bool;
 
     /// Returns `true` if the packing condition holds at `v` for a *full*
     /// solution (additionally requiring `v` to be decided).
-    fn packing_solution_ok_at(&self, g: &Graph, v: NodeId, out: &[Self::Output]) -> bool {
+    fn packing_solution_ok_at(&self, g: &impl Adjacency, v: NodeId, out: &[Self::Output]) -> bool {
         out[v.index()].is_decided() && self.partial_packing_ok_at(g, v, out)
     }
 
     /// Returns `true` if the covering condition holds at `v` for a *full*
     /// solution (additionally requiring `v` to be decided).
-    fn covering_solution_ok_at(&self, g: &Graph, v: NodeId, out: &[Self::Output]) -> bool;
+    fn covering_solution_ok_at(&self, g: &impl Adjacency, v: NodeId, out: &[Self::Output]) -> bool;
 
     /// Nodes (among `restrict_to`) violating the partial-solution conditions.
     fn partial_violations(

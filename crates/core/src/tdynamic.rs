@@ -11,7 +11,7 @@
 
 use crate::output::HasBottom;
 use crate::problem::{densify_outputs, DynamicProblem};
-use dynnet_graph::{Graph, GraphWindow, NodeId};
+use dynnet_graph::{Adjacency, GraphWindow, NodeId};
 
 /// Result of checking one round's output against the window.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,17 +84,19 @@ impl NodeVerdict {
     }
 }
 
-/// Evaluates one node of `V^∩T_r` against materialized window graphs: the
-/// per-node kernel shared by the batch checker and the incremental verifier.
+/// Evaluates one node of `V^∩T_r` against the window graphs: the per-node
+/// kernel shared by the batch checker and the incremental verifier.
 ///
 /// `dense` must be the ⊥-densified output vector (see
 /// [`crate::problem::densify_outputs`]); `intersection` / `union` must carry
-/// the adjacency of `G^∩T_r` / `G^∪T_r`. Cost: `O(deg_union(v))` for the
-/// radius-1 problems of the paper.
+/// the adjacency of `G^∩T_r` / `G^∪T_r` — materialized
+/// [`dynnet_graph::Graph`]s in the batch checker, the window's in-place views
+/// in the incremental verifier.
+/// Cost: `O(deg_union(v))` for the radius-1 problems of the paper.
 pub fn node_verdict<P: DynamicProblem>(
     problem: &P,
-    intersection: &Graph,
-    union: &Graph,
+    intersection: &impl Adjacency,
+    union: &impl Adjacency,
     v: NodeId,
     dense: &[P::Output],
 ) -> NodeVerdict {
@@ -114,8 +116,9 @@ pub fn node_verdict<P: DynamicProblem>(
 
 /// Checks whether `outputs` (as published by the simulator, `None` = asleep)
 /// is a T-dynamic solution with respect to the given window — the full
-/// re-check: both window graphs are materialized and every node of `V^∩T_r`
-/// is re-evaluated (`O(n + |G^∪T|)` per call). The streaming
+/// re-check: both window graphs are materialized as [`dynnet_graph::Graph`]s
+/// and every node of `V^∩T_r` is re-evaluated (`O(n + |G^∪T|)` per call), so
+/// it shares no adjacency code with the incremental path. The streaming
 /// [`crate::TDynamicVerifier`] reaches the same verdicts in
 /// `O(|δ| + output churn)` per round.
 pub fn check_t_dynamic<P: DynamicProblem>(

@@ -8,10 +8,10 @@
 //! the batch `verify_t_dynamic_run` oracle (full re-check of every round);
 //! the two `VerificationSummary` values must be identical in every field.
 //!
-//! Also covered here: the window-expiry edge case (a verdict flips on a
-//! round whose delta is empty, purely because an edge aged out of the
-//! union) and the regression test for `observe_delta` before an initial
-//! graph (a documented error, not a panic).
+//! Every run is also replayed from the recording with round 0 fed as a
+//! delta from the empty window, which must give the same summary. Also
+//! covered here: the window-expiry edge case (a verdict flips on a round
+//! whose delta is empty, purely because an edge aged out of the union).
 
 use dynnet_adversary::{
     Adversary, BurstAdversary, ConflictSeekingAdversary, FlipChurnAdversary, GrowthAdversary,
@@ -23,7 +23,7 @@ use dynnet_algorithms::coloring::dynamic_coloring;
 use dynnet_algorithms::mis::dynamic_mis;
 use dynnet_core::{
     verify_t_dynamic_run, ColorOutput, ColoringProblem, DynamicProblem, MisOutput, MisProblem,
-    TDynamicVerifier, VerifyError,
+    TDynamicVerifier,
 };
 use dynnet_graph::{generators, DynamicGraphTrace, Graph, GraphDelta, NodeId};
 use dynnet_runtime::rng::experiment_rng;
@@ -72,6 +72,20 @@ fn assert_incremental_matches_oracle<P, A, F, Adv>(
         "incremental verifier diverged from the full-recheck oracle: {name} (T = {window})"
     );
     assert_eq!(summary.rounds_checked, rounds - (window - 1), "{name}");
+
+    // Round 0 fed as a delta from the empty window verifies exactly like the
+    // streaming run above, which observed round 0 as a whole graph.
+    let mut from_delta = TDynamicVerifier::new(problem, window);
+    let mut prev = Graph::new_all_asleep(N);
+    for (g, outs) in graphs.iter().zip(&outputs) {
+        from_delta.observe_delta(&GraphDelta::between(&prev, g), outs);
+        prev = g.clone();
+    }
+    assert_eq!(
+        from_delta.into_summary(),
+        summary,
+        "round 0 as a delta diverged from round 0 as a graph: {name} (T = {window})"
+    );
 }
 
 /// Runs one adversary against both problems (and their combined algorithms)
@@ -271,9 +285,8 @@ fn window_expiry_flips_verdict_on_empty_delta() {
         v.observe(&g0, &outs);
         let mut d1 = GraphDelta::new();
         d1.remove(NodeId::new(0), NodeId::new(1));
-        v.observe_delta_with_churn(&d1, &outs, Some(&[])).unwrap();
-        v.observe_delta_with_churn(&GraphDelta::new(), &outs, Some(&[]))
-            .unwrap();
+        v.observe_delta_with_churn(&d1, &outs, Some(&[]));
+        v.observe_delta_with_churn(&GraphDelta::new(), &outs, Some(&[]));
         v.into_summary()
     };
     let incremental = run(TDynamicVerifier::new(MisProblem, 2));
@@ -285,19 +298,31 @@ fn window_expiry_flips_verdict_on_empty_delta() {
 }
 
 #[test]
-fn observe_delta_before_initial_graph_returns_error() {
-    // Regression: this used to panic via `Option::expect`. A delta is only
-    // meaningful relative to an observed previous round, so the verifier
-    // reports a documented error instead.
-    let mut v = TDynamicVerifier::new(ColoringProblem, 3);
-    let outs: Vec<Option<ColorOutput>> = vec![None; 4];
-    assert_eq!(
-        v.observe_delta(&GraphDelta::new(), &outs),
-        Err(VerifyError::DeltaBeforeInitialGraph)
-    );
-    // The failed call observes nothing; a whole-graph round unblocks deltas.
-    assert_eq!(v.rounds_observed(), 0);
-    v.observe(&Graph::new(4), &outs);
-    assert!(v.observe_delta(&GraphDelta::new(), &outs).is_ok());
-    assert_eq!(v.rounds_observed(), 2);
+fn round_zero_delta_from_empty_window_matches_observe() {
+    // Round 0 needs no whole graph: fed as a delta from the empty window it
+    // verifies exactly like `observe(&g0)`, including a node that is awake
+    // but isolated (woken by the delta, no edge) and one still asleep. The
+    // suite helper above makes the same comparison for every adversary.
+    let mut g0 = Graph::new_all_asleep(4);
+    g0.insert_edge(NodeId::new(0), NodeId::new(1));
+    g0.activate(NodeId::new(2));
+    let outs = vec![
+        Some(MisOutput::InMis),
+        Some(MisOutput::Dominated),
+        Some(MisOutput::InMis),
+        None,
+    ];
+    for t in [1, 3] {
+        let mut from_graph = TDynamicVerifier::new(MisProblem, t).check_from(0);
+        let mut from_delta = TDynamicVerifier::new(MisProblem, t).check_from(0);
+        from_graph.observe(&g0, &outs);
+        from_delta.observe_delta(&GraphDelta::between(&Graph::new_all_asleep(4), &g0), &outs);
+        for _ in 0..t {
+            from_graph.observe_delta(&GraphDelta::new(), &outs);
+            from_delta.observe_delta(&GraphDelta::new(), &outs);
+        }
+        assert_eq!(from_delta.summary(), from_graph.summary(), "T = {t}");
+        assert_eq!(from_delta.summary().rounds_checked, t + 1);
+        assert!(from_delta.summary().all_valid(), "T = {t}");
+    }
 }

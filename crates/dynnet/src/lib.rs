@@ -76,7 +76,7 @@ pub mod prelude {
         check_t_dynamic, node_verdict, recommended_window, verify_locally_static,
         verify_t_dynamic_run, ColorOutput, ColoringProblem, DynamicProblem, HasBottom,
         InvalidRounds, MisOutput, MisProblem, NodeVerdict, TDynamicReport, TDynamicVerifier,
-        VerificationSummary, VerifyError, ViolationLedger,
+        VerificationSummary, ViolationLedger,
     };
     pub use dynnet_graph::{
         generators, CodecError, CsrApplyOutcome, CsrGraph, DeltaLogReader, DeltaLogWriter, Edge,

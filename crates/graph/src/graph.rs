@@ -297,6 +297,30 @@ impl Graph {
     }
 }
 
+/// Read-only adjacency: what a radius-1 LCL check needs from a graph.
+///
+/// Implemented by [`Graph`] and by the window views
+/// [`crate::IntersectionView`] and [`crate::UnionView`], so a per-node check
+/// can run on `G^∩T_r` / `G^∪T_r` straight from a [`crate::GraphWindow`]'s
+/// incidence lists without materializing either graph.
+pub trait Adjacency {
+    /// The neighbors of `v`.
+    fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_;
+
+    /// The number of neighbors of `v`.
+    fn degree(&self, v: NodeId) -> usize;
+}
+
+impl Adjacency for Graph {
+    fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        Graph::neighbors(self, v)
+    }
+
+    fn degree(&self, v: NodeId) -> usize {
+        Graph::degree(self, v)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,13 +8,15 @@
 //! * [`NodeId`] / [`Edge`] — dense node identifiers over a fixed universe of
 //!   `n` potential nodes, canonical undirected edges (Section 2 of the paper).
 //! * [`Graph`] — the mutable per-round communication graph `G_r`, with node
-//!   activity flags modelling asynchronous wake-up.
+//!   activity flags modelling asynchronous wake-up, and [`Adjacency`] — the
+//!   read-only neighbor/degree interface the solution checks run on.
 //! * [`CsrGraph`] — compressed-sparse-row snapshots used by the simulator's
 //!   parallel round execution, patchable in place from a [`GraphDelta`]
 //!   (`O(|δ|)` per round on the sparse-churn path).
 //! * [`GraphWindow`] — delta-native sliding window exposing the
 //!   `T`-intersection graph `G^∩T_r` and `T`-union graph `G^∪T_r`
-//!   (Definition 2.1), plus "locally static" neighborhood checks. Every push
+//!   (Definition 2.1) as in-place [`Adjacency`] views over one set of
+//!   incidence lists, plus "locally static" neighborhood checks. Every push
 //!   returns a [`WindowUpdate`] — the round's window-membership events
 //!   (tight delta, edges aging out of the union, runs maturing into the
 //!   intersection) that incremental consumers such as the `O(|δ| + churn)`
@@ -48,9 +50,11 @@ pub mod window;
 pub use codec::{CodecError, DeltaLogReader, DeltaLogWriter, LogStats};
 pub use csr::{CsrApplyOutcome, CsrGraph};
 pub use dynamic::{DynamicGraphTrace, GraphDelta};
-pub use graph::Graph;
+pub use graph::{Adjacency, Graph};
 pub use node::{Edge, NodeId};
-pub use window::{GraphWindow, QueueDepths, WindowUpdate};
+pub use window::{
+    window_graphs_bruteforce, GraphWindow, IntersectionView, QueueDepths, UnionView, WindowUpdate,
+};
 
 #[cfg(test)]
 mod randomized_tests {
@@ -138,20 +142,18 @@ mod randomized_tests {
             // All graphs must share a universe; re-map them onto the max n.
             let n = graphs.iter().map(|g| g.num_nodes()).max().unwrap();
             let mut w = GraphWindow::new(n, window);
+            let mut history: Vec<Graph> = Vec::new();
             for g in &graphs {
                 let mut resized = Graph::new(n);
                 for e in g.edges() {
                     resized.insert_edge(e.u, e.v);
                 }
                 w.push(&resized);
-                assert_eq!(
-                    w.intersection_graph().edge_vec(),
-                    w.intersection_graph_bruteforce().edge_vec()
-                );
-                assert_eq!(
-                    w.union_graph().edge_vec(),
-                    w.union_graph_bruteforce().edge_vec()
-                );
+                history.push(resized);
+                let last_t = &history[history.len().saturating_sub(window)..];
+                let (inter, union) = window_graphs_bruteforce(last_t).unwrap();
+                assert_eq!(w.intersection_graph().edge_vec(), inter.edge_vec());
+                assert_eq!(w.union_graph().edge_vec(), union.edge_vec());
             }
         }
     }
@@ -179,7 +181,7 @@ mod randomized_tests {
                 assert!(uni.has_edge(e.u, e.v), "G^∩T ⊆ G^∪T must hold");
             }
             // Current graph lies between them edge-wise.
-            let cur = w.current().unwrap();
+            let cur = w.current_graph();
             for e in inter.edges() {
                 assert!(cur.has_edge(e.u, e.v), "G^∩T ⊆ G_r");
             }

@@ -5,42 +5,47 @@
 //! (and the nodes awake throughout them); `G^∪T_r` contains the edges present
 //! in *at least one* of the last `T` rounds, over the same node set `V^∩T_r`.
 //!
-//! [`GraphWindow`] is *delta-native*: after the initial graph it consumes
-//! per-round [`GraphDelta`]s (via [`GraphWindow::push_delta`]) and maintains
-//! run-length state per edge and per node — the round at which the current
-//! presence/absence run started. A round update therefore costs `O(|δ|)`
-//! (amortized, including garbage collection of edges that left the union),
-//! not `O(|E_r|)`: membership in the intersection and union follows from the
-//! run lengths alone, and nothing is recounted when the window slides over
-//! an unchanged edge. [`GraphWindow::push`] remains as the whole-graph
-//! compatibility path (it diffs against the current graph internally).
+//! [`GraphWindow`] is *delta-native*: it consumes per-round [`GraphDelta`]s
+//! (via [`GraphWindow::push_delta`]; round 0 is a delta from the empty
+//! window) and keeps one adjacency — per-node incidence lists over every
+//! edge of `G^∪T_r` — in which each entry carries its edge's presence run:
+//! the round at which the current presence/absence run started. A round
+//! update therefore costs `O(|δ|)` (amortized, including garbage collection
+//! of edges that left the union), not `O(|E_r|)`: membership in the
+//! intersection and union follows from the run lengths alone, and nothing
+//! is recounted when the window slides over an unchanged edge. The
+//! [`IntersectionView`] and [`UnionView`] read the window graphs in place;
+//! [`GraphWindow::intersection_graph`], [`GraphWindow::union_graph`] and
+//! [`GraphWindow::current_graph`] materialize them for reference checkers,
+//! and [`GraphWindow::push`] remains as the whole-graph compatibility path.
 
 use crate::dynamic::GraphDelta;
-use crate::graph::Graph;
+use crate::graph::{Adjacency, Graph};
 use crate::node::{Edge, NodeId};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
-/// One presence run: `on` is the current state, `since` the round at which
-/// this run started (an absent edge with `since = s` was last present in
-/// round `s - 1`).
+/// One node-activity run: `on` is the current state, `since` the round at
+/// which this run started.
 #[derive(Clone, Copy, Debug)]
 struct Span {
     on: bool,
     since: u64,
 }
 
-/// Per-edge window state: the presence run plus this edge's positions in
-/// its endpoints' incidence lists (`pos_u` in `incidence[e.u]`, `pos_v` in
-/// `incidence[e.v]`, with `e` normalized so `u < v`). The stored positions
-/// make garbage-collecting an expired edge `O(1)` — swap-remove and patch
-/// the one entry that moved — instead of a linear scan of the endpoint's
-/// list, which would turn mass expiry at a high-degree node quadratic.
+/// One entry of a node's incidence list: the edge to `other` and that
+/// edge's presence run (`on`, `since`; an absent edge with `since = s` was
+/// last present in round `s - 1`). `twin` is the position of the mirror
+/// entry in `other`'s list, which carries the same run. The twin index
+/// makes garbage-collecting an expired edge `O(1)` — swap-remove on both
+/// sides and patch the one mirror entry that moved — instead of a linear
+/// scan of the endpoint's list, which would turn mass expiry at a
+/// high-degree node quadratic.
 #[derive(Clone, Copy, Debug)]
-struct EdgeEntry {
+struct Incidence {
+    other: NodeId,
     on: bool,
     since: u64,
-    pos_u: usize,
-    pos_v: usize,
+    twin: usize,
 }
 
 /// The window-membership changes produced by pushing one round into a
@@ -49,9 +54,8 @@ struct EdgeEntry {
 ///
 /// Together the seven lists describe *every* way the window graphs of
 /// Definition 2.1 can change between consecutive rounds, so a delta-aware
-/// consumer (the incremental T-dynamic verifier in `dynnet-core`) can patch
-/// materialized `G^∩T` / `G^∪T` / `V^∩T` state in `O(|update|)` instead of
-/// re-materializing them:
+/// consumer (the incremental T-dynamic verifier in `dynnet-core`) can
+/// re-evaluate exactly the affected nodes instead of re-checking everything:
 ///
 /// * the tight per-round delta (`inserted`, `removed`, `woken`,
 ///   `deactivated`) — `inserted` edges join `G^∪T` and `removed` edges leave
@@ -69,11 +73,6 @@ struct EdgeEntry {
 /// verdict can change this round.
 #[derive(Clone, Debug, Default)]
 pub struct WindowUpdate {
-    /// `true` for the round-0 push: every edge and active node of the
-    /// initial graph is listed as new, and consumers holding no prior state
-    /// should initialize from the materialized window graphs instead of
-    /// patching.
-    pub initial: bool,
     /// Edges inserted into the current graph this round (tight: every listed
     /// edge was really absent before). They are in `G^∪T` from this round on.
     pub inserted: Vec<Edge>,
@@ -144,28 +143,13 @@ pub struct GraphWindow {
     /// Total rounds pushed so far; the current round index is
     /// `rounds_pushed - 1`.
     rounds_pushed: u64,
-    /// The most recent graph, materialized.
-    current: Graph,
-    /// Realized (tight) deltas between consecutive window rounds, oldest
-    /// first — at most `T - 1` of them; past rounds are reconstructed by
-    /// un-applying them from `current`.
-    deltas: VecDeque<GraphDelta>,
-    /// Presence run per edge that is present now or was present within the
-    /// window (stale absent entries are garbage-collected lazily).
-    ///
-    /// A `BTreeMap` so that iterating it ([`GraphWindow::intersection_graph`],
-    /// [`GraphWindow::union_graph`]) visits edges in `Ord` order — the
-    /// materialized graphs are independent of insertion history by
-    /// construction, not by the downstream `Graph` happening to sort.
-    edge_state: BTreeMap<Edge, EdgeEntry>,
-    /// Per-node incidence lists over `edge_state`: `incidence[v]` holds the
-    /// other endpoint of every edge that currently has an `edge_state` entry
-    /// (present, or absent but still inside the union window). Maintained by
-    /// the same insert/GC events as `edge_state`, it lets the degree queries
-    /// ([`GraphWindow::union_degree`], [`GraphWindow::intersection_degree`])
-    /// and [`GraphWindow::locally_static`] touch `O(deg)` entries instead of
-    /// scanning the whole `O(|G^∪T|)` edge map.
-    incidence: Vec<Vec<NodeId>>,
+    /// Per-node incidence lists: `incidence[v]` holds an entry for every
+    /// edge at `v` that is present now or was present within the window
+    /// (absent entries are garbage-collected once their last present round
+    /// slides out). This is the window's only adjacency: the current graph,
+    /// `G^∩T` and `G^∪T` are all filters over it, so every degree or
+    /// neighbor query touches `O(deg^∪T(v))` entries.
+    incidence: Vec<Vec<Incidence>>,
     /// Activity run per node.
     node_state: Vec<Span>,
     /// `(round_removed, edge)` queue driving the lazy GC of absent edges
@@ -189,9 +173,6 @@ impl GraphWindow {
             n,
             window,
             rounds_pushed: 0,
-            current: Graph::new_all_asleep(n),
-            deltas: VecDeque::new(),
-            edge_state: BTreeMap::new(),
             incidence: vec![Vec::new(); n],
             node_state: vec![
                 Span {
@@ -232,7 +213,7 @@ impl GraphWindow {
     }
 
     /// First round inside the window (all runs starting at or before it span
-    /// the whole window). Only meaningful when at least one round was pushed.
+    /// the whole window; `0` while the window is empty).
     #[inline]
     fn start(&self) -> u64 {
         self.rounds_pushed - self.len() as u64
@@ -241,144 +222,102 @@ impl GraphWindow {
     /// Pushes the communication graph of the next round into the window and
     /// returns the round's [`WindowUpdate`].
     ///
-    /// Compatibility path: diffs `g` against the current graph (`O(|E|)`)
-    /// and forwards to the delta path. Streaming callers that already hold
-    /// the round's delta should use [`GraphWindow::push_delta`] instead.
+    /// Compatibility path: materializes the current graph, diffs `g` against
+    /// it (`O(n + |E|)`) and forwards to the delta path. Streaming callers
+    /// that already hold the round's delta should use
+    /// [`GraphWindow::push_delta`] instead.
     pub fn push(&mut self, g: &Graph) -> WindowUpdate {
         assert_eq!(g.num_nodes(), self.n, "graph universe mismatch");
-        if self.rounds_pushed == 0 {
-            self.current = g.clone();
-            let mut update = WindowUpdate {
-                initial: true,
-                ..WindowUpdate::default()
-            };
-            for e in g.edges() {
-                let (pos_u, pos_v) = self.add_incidence(e);
-                self.edge_state.insert(
-                    e,
-                    EdgeEntry {
-                        on: true,
-                        since: 0,
-                        pos_u,
-                        pos_v,
-                    },
-                );
-                update.inserted.push(e);
-                // A one-round window spans the whole (one-round) history.
-                update.edges_joined_intersection.push(e);
-            }
-            for i in 0..self.n {
-                let on = g.is_active(NodeId::new(i));
-                self.node_state[i] = Span { on, since: 0 };
-                if on {
-                    update.woken.push(NodeId::new(i));
-                    update.nodes_joined_intersection.push(NodeId::new(i));
-                }
-            }
-            self.rounds_pushed = 1;
-            return update;
-        }
-        let delta = GraphDelta::between(&self.current, g);
+        let delta = GraphDelta::between(&self.current_graph(), g);
         self.push_delta(&delta)
     }
 
     /// Pushes the next round as a delta relative to the current graph —
     /// the `O(|δ|)` streaming path — and returns the round's
     /// [`WindowUpdate`] (the tight delta plus the window-expiry events).
-    /// The delta may be loose (no-op changes are tolerated); it is tightened
-    /// against the current graph while being applied.
-    ///
-    /// # Panics
-    /// Panics if no initial graph has been pushed yet (round 0 must be
-    /// supplied as a whole graph via [`GraphWindow::push`]).
+    /// Round 0 is a delta from the empty window (all nodes asleep, no
+    /// edges). The delta may be loose (no-op changes are tolerated); it is
+    /// tightened against the current graph while being applied, in
+    /// [`GraphDelta::apply`] order: wake-ups, insertions, removals,
+    /// deactivations.
     pub fn push_delta(&mut self, delta: &GraphDelta) -> WindowUpdate {
-        assert!(
-            self.rounds_pushed > 0,
-            "push the round-0 graph via GraphWindow::push before pushing deltas"
-        );
         let round = self.rounds_pushed;
-        let tight = self.realize(delta);
+        let mut update = WindowUpdate::default();
 
-        let mut update = WindowUpdate {
-            initial: false,
-            inserted: tight.inserted.clone(),
-            removed: tight.removed.clone(),
-            woken: tight.woken.clone(),
-            deactivated: tight.deactivated.clone(),
-            ..WindowUpdate::default()
+        for &v in &delta.woken {
+            self.wake(v, round, &mut update);
+        }
+        // An edge inserted *and* removed by the same delta (insertions apply
+        // first, then removals and deactivations) is never present in any
+        // round's final graph: it must not start a run, so it is cancelled
+        // before touching the lists. Only edges absent before the round can
+        // cancel; a present one is simply removed below.
+        let (doomed, leaving): (HashSet<Edge>, HashSet<NodeId>) = if delta.inserted.is_empty() {
+            Default::default()
+        } else {
+            (
+                delta.removed.iter().copied().collect(),
+                delta.deactivated.iter().copied().collect(),
+            )
         };
-
-        for e in &tight.inserted {
-            // A brand-new entry (not a re-insertion of an edge still inside
-            // the union window) joins the incidence lists; re-insertions
-            // keep their stored positions and just flip the run.
-            match self.edge_state.get_mut(e) {
-                Some(entry) => {
-                    entry.on = true;
-                    entry.since = round;
-                }
-                None => {
-                    let (pos_u, pos_v) = self.add_incidence(*e);
-                    self.edge_state.insert(
-                        *e,
-                        EdgeEntry {
-                            on: true,
-                            since: round,
-                            pos_u,
-                            pos_v,
-                        },
-                    );
+        for &e in &delta.inserted {
+            let found = self.find(e);
+            if found.is_some_and(|(_, _, x)| x.on) {
+                continue;
+            }
+            self.wake(e.u, round, &mut update);
+            self.wake(e.v, round, &mut update);
+            if doomed.contains(&e) || leaving.contains(&e.u) || leaving.contains(&e.v) {
+                continue;
+            }
+            match found {
+                // Re-insertion of an edge still inside the union window: the
+                // entry keeps its list positions and just starts a new run.
+                Some((a, pos, _)) => self.set_run(a, pos, true, round),
+                None => self.add_edge(e, round),
+            }
+            update.inserted.push(e);
+            self.edge_maturity_queue.push_back((round, e));
+        }
+        for &e in &delta.removed {
+            if let Some((a, pos, x)) = self.find(e) {
+                if x.on {
+                    self.remove_run(a, pos, e, round, &mut update);
                 }
             }
-            self.edge_maturity_queue.push_back((round, *e));
         }
-        for e in &tight.removed {
-            // `realize` only reports removals of edges present in the
-            // current graph, and every present edge has a window entry; a
-            // miss would mean the incidence bookkeeping already diverged,
-            // so skipping (rather than panicking) keeps the window usable.
-            debug_assert!(
-                self.edge_state.contains_key(e),
-                "removed edge {e:?} untracked"
-            );
-            if let Some(entry) = self.edge_state.get_mut(e) {
-                entry.on = false;
-                entry.since = round;
-                self.gc_queue.push_back((round, *e));
+        for &v in &delta.deactivated {
+            if !self.node_state[v.index()].on {
+                continue;
             }
-        }
-        for &v in &tight.woken {
-            self.node_state[v.index()] = Span {
-                on: true,
-                since: round,
-            };
-            self.node_maturity_queue.push_back((round, v));
-        }
-        for &v in &tight.deactivated {
+            for pos in 0..self.incidence[v.index()].len() {
+                // INVARIANT: `pos` < the list's length; `remove_run` only
+                // rewrites run fields, so the list is not resized here.
+                let x = self.incidence[v.index()][pos];
+                if x.on {
+                    self.remove_run(v, pos, Edge::new(v, x.other), round, &mut update);
+                }
+            }
             self.node_state[v.index()] = Span {
                 on: false,
                 since: round,
             };
+            update.deactivated.push(v);
         }
 
-        self.deltas.push_back(tight);
-        while self.deltas.len() + 1 > self.window {
-            self.deltas.pop_front();
-        }
         self.rounds_pushed += 1;
+        let start = self.start();
 
         // GC: absent edges whose removal round slid out of the window are no
         // longer in the union and can be forgotten.
-        let start = self.start();
         while let Some(&(r, e)) = self.gc_queue.front() {
             if r > start {
                 break;
             }
             self.gc_queue.pop_front();
-            if let std::collections::btree_map::Entry::Occupied(occ) = self.edge_state.entry(e) {
-                if !occ.get().on && occ.get().since == r {
-                    let entry = occ.remove();
-                    self.drop_incidence(e, entry);
+            if let Some((a, pos, x)) = self.find(e) {
+                if !x.on && x.since == r {
+                    self.drop_edge(a, pos);
                     update.edges_left_union.push(e);
                 }
             }
@@ -392,10 +331,8 @@ impl GraphWindow {
                 break;
             }
             self.edge_maturity_queue.pop_front();
-            if let Some(s) = self.edge_state.get(&e) {
-                if s.on && s.since == r {
-                    update.edges_joined_intersection.push(e);
-                }
+            if self.find(e).is_some_and(|(_, _, x)| x.on && x.since == r) {
+                update.edges_joined_intersection.push(e);
             }
         }
         while let Some(&(r, v)) = self.node_maturity_queue.front() {
@@ -411,183 +348,172 @@ impl GraphWindow {
         update
     }
 
-    /// Registers a fresh `edge_state` entry in both endpoints' incidence
-    /// lists, returning its positions `(pos_u, pos_v)` in them.
-    fn add_incidence(&mut self, e: Edge) -> (usize, usize) {
-        let pos_u = self.incidence[e.u.index()].len();
-        self.incidence[e.u.index()].push(e.v);
-        let pos_v = self.incidence[e.v.index()].len();
-        self.incidence[e.v.index()].push(e.u);
-        (pos_u, pos_v)
-    }
-
-    /// Removes a garbage-collected `edge_state` entry from both endpoints'
-    /// incidence lists in `O(1)`: swap-remove at the entry's stored
-    /// positions and patch the stored position of the one edge that moved.
-    fn drop_incidence(&mut self, e: Edge, entry: EdgeEntry) {
-        Self::incidence_swap_remove(&mut self.incidence, &mut self.edge_state, e.u, entry.pos_u);
-        Self::incidence_swap_remove(&mut self.incidence, &mut self.edge_state, e.v, entry.pos_v);
-    }
-
-    fn incidence_swap_remove(
-        incidence: &mut [Vec<NodeId>],
-        edge_state: &mut BTreeMap<Edge, EdgeEntry>,
-        v: NodeId,
-        pos: usize,
-    ) {
-        let list = &mut incidence[v.index()];
-        list.swap_remove(pos);
-        if pos < list.len() {
-            // The former last entry moved into `pos`: update its edge's
-            // stored position on `v`'s side. Incidence entries exist only
-            // for tracked edges, so the lookup cannot miss unless the two
-            // structures already diverged — assert in debug, tolerate in
-            // release.
-            let moved_edge = Edge::new(v, list[pos]);
-            debug_assert!(edge_state.contains_key(&moved_edge));
-            if let Some(moved) = edge_state.get_mut(&moved_edge) {
-                if moved_edge.u == v {
-                    moved.pos_u = pos;
-                } else {
-                    moved.pos_v = pos;
-                }
-            }
+    /// Activates `v` in round `round` if it is asleep.
+    fn wake(&mut self, v: NodeId, round: u64, update: &mut WindowUpdate) {
+        let state = &mut self.node_state[v.index()];
+        if !state.on {
+            *state = Span {
+                on: true,
+                since: round,
+            };
+            update.woken.push(v);
+            self.node_maturity_queue.push_back((round, v));
         }
     }
 
-    /// Applies `delta` to the current graph, returning the *tight* delta of
-    /// changes that actually took effect (including edges dropped by node
-    /// deactivation and nodes implicitly woken by edge insertion).
-    fn realize(&mut self, delta: &GraphDelta) -> GraphDelta {
-        let g = &mut self.current;
-        let mut tight = GraphDelta::default();
-        for &v in &delta.woken {
-            if !g.is_active(v) {
-                g.activate(v);
-                tight.woken.push(v);
-            }
-        }
-        for e in &delta.inserted {
-            if !g.has_edge(e.u, e.v) {
-                for w in [e.u, e.v] {
-                    if !g.is_active(w) {
-                        tight.woken.push(w);
-                    }
-                }
-                g.insert_edge(e.u, e.v);
-                tight.inserted.push(*e);
-            }
-        }
-        for e in &delta.removed {
-            if g.remove_edge(e.u, e.v) {
-                tight.removed.push(*e);
-            }
-        }
-        for &v in &delta.deactivated {
-            if g.is_active(v) {
-                for u in g.neighbors_vec(v) {
-                    g.remove_edge(v, u);
-                    tight.removed.push(Edge::new(v, u));
-                }
-                g.deactivate(v);
-                tight.deactivated.push(v);
-            }
-        }
-        // An edge inserted *and* removed by the same delta (insertions apply
-        // first) was never present in any round's final graph: cancel the
-        // pair so the tight delta records the net round transition.
-        if !tight.inserted.is_empty() && !tight.removed.is_empty() {
-            let removed: HashSet<Edge> = tight.removed.iter().copied().collect();
-            let cancelled: HashSet<Edge> = tight
-                .inserted
-                .iter()
-                .filter(|e| removed.contains(e))
-                .copied()
-                .collect();
-            if !cancelled.is_empty() {
-                tight.inserted.retain(|e| !cancelled.contains(e));
-                tight.removed.retain(|e| !cancelled.contains(e));
-            }
-        }
-        tight
-    }
-
-    /// The most recent graph `G_r`, if any round has been pushed.
-    pub fn current(&self) -> Option<&Graph> {
-        if self.rounds_pushed > 0 {
-            Some(&self.current)
+    /// Locates `e` by scanning the shorter endpoint list: the scanned
+    /// endpoint, the entry's position in its list, and the entry itself.
+    fn find(&self, e: Edge) -> Option<(NodeId, usize, Incidence)> {
+        let (a, b) = if self.incidence[e.u.index()].len() <= self.incidence[e.v.index()].len() {
+            (e.u, e.v)
         } else {
-            None
-        }
+            (e.v, e.u)
+        };
+        self.incidence[a.index()]
+            .iter()
+            .enumerate()
+            .find(|(_, x)| x.other == b)
+            .map(|(pos, &x)| (a, pos, x))
     }
 
-    /// Reconstructs the oldest graph still inside the window.
-    pub fn oldest(&self) -> Option<Graph> {
-        self.ago(self.len().checked_sub(1)?)
+    /// Appends a fresh present edge to both endpoints' lists.
+    fn add_edge(&mut self, e: Edge, since: u64) {
+        let pos_u = self.incidence[e.u.index()].len();
+        let pos_v = self.incidence[e.v.index()].len();
+        self.incidence[e.u.index()].push(Incidence {
+            other: e.v,
+            on: true,
+            since,
+            twin: pos_v,
+        });
+        self.incidence[e.v.index()].push(Incidence {
+            other: e.u,
+            on: true,
+            since,
+            twin: pos_u,
+        });
     }
 
-    /// Reconstructs the graph `i` rounds ago (`0` = current), if in the
-    /// window. Costs `O(|G_r|)` for the clone plus the changes un-applied on
-    /// the way back.
-    pub fn ago(&self, i: usize) -> Option<Graph> {
-        if self.rounds_pushed == 0 || i >= self.len() {
-            return None;
+    /// Starts a new run on the edge at `incidence[a][pos]` and its twin.
+    fn set_run(&mut self, a: NodeId, pos: usize, on: bool, since: u64) {
+        // INVARIANT: callers pass a position just returned by `find` or
+        // bounded by the list's length, and the list was not resized since.
+        let x = &mut self.incidence[a.index()][pos];
+        x.on = on;
+        x.since = since;
+        let (b, twin) = (x.other, x.twin);
+        // INVARIANT: `twin` indexes the mirror entry in `b`'s list — set by
+        // `add_edge` and re-pointed by `swap_remove_entry` whenever it moves.
+        let mirror = &mut self.incidence[b.index()][twin];
+        mirror.on = on;
+        mirror.since = since;
+    }
+
+    /// Removes the present edge `e`, found at `incidence[a][pos]`, from the
+    /// current graph in round `round`: it stays in the union until that
+    /// round's predecessor slides out of the window.
+    fn remove_run(
+        &mut self,
+        a: NodeId,
+        pos: usize,
+        e: Edge,
+        round: u64,
+        update: &mut WindowUpdate,
+    ) {
+        self.set_run(a, pos, false, round);
+        update.removed.push(e);
+        self.gc_queue.push_back((round, e));
+    }
+
+    /// Forgets the edge at `incidence[a][pos]`: swap-removes it and its twin
+    /// in `O(1)`.
+    fn drop_edge(&mut self, a: NodeId, pos: usize) {
+        // INVARIANT: `pos` was just returned by `find`.
+        let Incidence { other: b, twin, .. } = self.incidence[a.index()][pos];
+        // The entry moved into `pos` on `a`'s side has its mirror on a third
+        // node (the lists hold one entry per edge), so `twin` stays valid.
+        self.swap_remove_entry(a, pos);
+        self.swap_remove_entry(b, twin);
+    }
+
+    /// Swap-removes `incidence[v][pos]` and re-points the mirror of the
+    /// entry that moved into `pos`.
+    fn swap_remove_entry(&mut self, v: NodeId, pos: usize) {
+        let list = &mut self.incidence[v.index()];
+        list.swap_remove(pos);
+        if let Some(&moved) = list.get(pos) {
+            // INVARIANT: `moved.twin` indexes `moved`'s mirror entry, which
+            // lives in another node's list (no self-loops).
+            self.incidence[moved.other.index()][moved.twin].twin = pos;
         }
-        let mut g = self.current.clone();
-        for d in self.deltas.iter().rev().take(i) {
-            d.unapply(&mut g);
-        }
-        Some(g)
     }
 
     /// Node set `V^∩T_r`: nodes that were awake in every round of the window.
     pub fn intersection_nodes(&self) -> Vec<NodeId> {
-        if self.rounds_pushed == 0 {
-            return Vec::new();
-        }
-        let start = self.start();
         (0..self.n)
-            .filter(|&i| {
-                let s = self.node_state[i];
-                s.on && s.since <= start
-            })
             .map(NodeId::new)
+            .filter(|&v| self.node_in_intersection(v))
             .collect()
     }
 
     /// Returns `true` if `v` has been awake for the whole window.
     pub fn node_in_intersection(&self, v: NodeId) -> bool {
-        if self.rounds_pushed == 0 {
-            return false;
-        }
         let s = self.node_state[v.index()];
         s.on && s.since <= self.start()
     }
 
     /// Returns `true` if the edge was present in every round of the window.
     pub fn edge_in_intersection(&self, e: Edge) -> bool {
-        if self.rounds_pushed == 0 {
-            return false;
-        }
-        matches!(self.edge_state.get(&e), Some(s) if s.on && s.since <= self.start())
+        let start = self.start();
+        self.find(e)
+            .is_some_and(|(_, _, x)| in_intersection(&x, start))
     }
 
     /// Returns `true` if the edge was present in at least one window round.
     pub fn edge_in_union(&self, e: Edge) -> bool {
-        if self.rounds_pushed == 0 {
-            return false;
-        }
-        match self.edge_state.get(&e) {
-            Some(s) => self.span_in_union(s),
-            None => false,
-        }
+        let start = self.start();
+        self.find(e).is_some_and(|(_, _, x)| in_union(&x, start))
     }
 
-    /// Union membership from an edge's presence run: present now, or removed
-    /// recently enough that its last present round is inside the window.
-    #[inline]
-    fn span_in_union(&self, s: &EdgeEntry) -> bool {
-        s.on || s.since > self.start()
+    /// The neighbors of `v` in the intersection graph `G^∩T_r`, read from
+    /// the incidence list (`O(deg^∪T(v))`).
+    pub fn intersection_neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let start = self.start();
+        self.incidence[v.index()]
+            .iter()
+            .filter(move |x| in_intersection(x, start))
+            .map(|x| x.other)
+    }
+
+    /// The neighbors of `v` in the union graph `G^∪T_r` (`O(deg^∪T(v))`).
+    pub fn union_neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let start = self.start();
+        self.incidence[v.index()]
+            .iter()
+            .filter(move |x| in_union(x, start))
+            .map(|x| x.other)
+    }
+
+    /// Degree of `v` in the union graph: the number of *distinct* neighbors
+    /// seen in the last `T` rounds — the paper's notion of "degree" for the
+    /// (degree+1)-coloring covering constraint in dynamic networks.
+    pub fn union_degree(&self, v: NodeId) -> usize {
+        self.union_neighbors(v).count()
+    }
+
+    /// Degree of `v` in the intersection graph (`O(deg^∪T(v))`).
+    pub fn intersection_degree(&self, v: NodeId) -> usize {
+        self.intersection_neighbors(v).count()
+    }
+
+    /// `G^∩T_r` as an [`Adjacency`], read in place from the window.
+    pub fn intersection_view(&self) -> IntersectionView<'_> {
+        IntersectionView(self)
+    }
+
+    /// `G^∪T_r` as an [`Adjacency`], read in place from the window.
+    pub fn union_view(&self) -> UnionView<'_> {
+        UnionView(self)
     }
 
     /// Materializes the intersection graph `G^∩T_r`.
@@ -595,66 +521,42 @@ impl GraphWindow {
     /// Only nodes in `V^∩T_r` are active; only edges present in all window
     /// rounds are included.
     pub fn intersection_graph(&self) -> Graph {
-        let mut g = Graph::new_all_asleep(self.n);
-        if self.rounds_pushed == 0 {
-            return g;
-        }
         let start = self.start();
-        for v in self.intersection_nodes() {
-            g.activate(v);
-        }
-        for (&e, s) in &self.edge_state {
-            if s.on && s.since <= start {
-                g.insert_edge(e.u, e.v);
-            }
-        }
-        g
+        self.materialize(|s| s.on && s.since <= start, |x| in_intersection(x, start))
     }
 
     /// Materializes the union graph `G^∪T_r` (node set `V^∩T_r`, edge union).
     pub fn union_graph(&self) -> Graph {
+        let start = self.start();
+        self.materialize(|s| s.on && s.since <= start, |x| in_union(x, start))
+    }
+
+    /// Materializes the most recent graph `G_r` (all nodes asleep and no
+    /// edges before the first push).
+    pub fn current_graph(&self) -> Graph {
+        self.materialize(|s| s.on, |x| x.on)
+    }
+
+    /// Builds a [`Graph`] from the nodes and incidence entries the filters
+    /// keep. Edges are inserted from their smaller endpoint in node order,
+    /// and `Graph` keeps sorted adjacency, so the result depends only on the
+    /// window's contents, never on the order entries were created in.
+    fn materialize(
+        &self,
+        node: impl Fn(&Span) -> bool,
+        edge: impl Fn(&Incidence) -> bool,
+    ) -> Graph {
         let mut g = Graph::new_all_asleep(self.n);
-        if self.rounds_pushed == 0 {
-            return g;
-        }
-        for v in self.intersection_nodes() {
-            g.activate(v);
-        }
-        for (&e, s) in &self.edge_state {
-            if self.span_in_union(s) {
-                g.insert_edge(e.u, e.v);
+        for (i, (state, list)) in self.node_state.iter().zip(&self.incidence).enumerate() {
+            let u = NodeId::new(i);
+            if node(state) {
+                g.activate(u);
+            }
+            for x in list.iter().filter(|x| x.other > u && edge(x)) {
+                g.insert_edge(u, x.other);
             }
         }
         g
-    }
-
-    /// Degree of `v` in the union graph: the number of *distinct* neighbors
-    /// seen in the last `T` rounds — the paper's notion of "degree" for the
-    /// (degree+1)-coloring covering constraint in dynamic networks.
-    /// `O(deg^∪T(v))` via the incidence list, not a scan of the edge map.
-    pub fn union_degree(&self, v: NodeId) -> usize {
-        if self.rounds_pushed == 0 {
-            return 0;
-        }
-        self.incidence[v.index()]
-            .iter()
-            .filter(|&&u| self.span_in_union(&self.edge_state[&Edge::new(v, u)]))
-            .count()
-    }
-
-    /// Degree of `v` in the intersection graph (`O(deg^∪T(v))`).
-    pub fn intersection_degree(&self, v: NodeId) -> usize {
-        if self.rounds_pushed == 0 {
-            return 0;
-        }
-        let start = self.start();
-        self.incidence[v.index()]
-            .iter()
-            .filter(|&&u| {
-                let s = self.edge_state[&Edge::new(v, u)];
-                s.on && s.since <= start
-            })
-            .count()
     }
 
     /// Returns `true` if the α-neighborhood of `v` (measured in the *current*
@@ -665,105 +567,34 @@ impl GraphWindow {
     /// This is the premise of property B.2 (Definition 3.3) and of the
     /// "locally static" clauses of Corollaries 1.2 and 1.3.
     pub fn locally_static(&self, v: NodeId, alpha: usize) -> bool {
-        let Some(cur) = self.current() else {
+        if self.rounds_pushed == 0 {
             return false;
-        };
-        let ball = crate::neighborhood::neighborhood(cur, v, alpha);
+        }
         let start = self.start();
-        // Walk only the edges incident to the ball (incidence lists), not
-        // the whole edge map. An `edge_state` entry whose run started inside
-        // the window is either an edge inserted within it (`on`) or one
-        // removed within it (`!on` — absent entries whose run predates the
-        // window were garbage-collected when it slid); both break local
-        // staticness. Entries with `since ≤ start` are edges present in
-        // every window round, which is exactly the static case.
-        for &w in &ball {
-            for &u in &self.incidence[w.index()] {
-                if self.edge_state[&Edge::new(w, u)].since > start {
-                    return false;
+        // Breadth-first over the ball, checking every list entry of each
+        // ball node. An entry whose run started inside the window is an edge
+        // inserted within it (`on`) or removed within it (`!on`); both break
+        // local staticness. Absent entries whose run predates the window
+        // were garbage-collected when it slid, so once every entry of a node
+        // passes, its entries are exactly its current edges and the search
+        // follows the current graph.
+        let mut seen = HashSet::from([v]);
+        let mut frontier = vec![v];
+        for depth in 0..=alpha {
+            let mut next = Vec::new();
+            for w in frontier {
+                for x in &self.incidence[w.index()] {
+                    if x.since > start {
+                        return false;
+                    }
+                    if depth < alpha && seen.insert(x.other) {
+                        next.push(x.other);
+                    }
                 }
             }
+            frontier = next;
         }
         true
-    }
-
-    /// The pre-incidence-list `union_degree`: a full scan of the edge map.
-    /// Kept as the reference the equivalence tests compare against.
-    #[cfg(test)]
-    fn union_degree_scan(&self, v: NodeId) -> usize {
-        if self.rounds_pushed == 0 {
-            return 0;
-        }
-        self.edge_state
-            .iter()
-            .filter(|(e, s)| e.contains(v) && self.span_in_union(s))
-            .count()
-    }
-
-    /// The pre-incidence-list `intersection_degree` (full scan, tests only).
-    #[cfg(test)]
-    fn intersection_degree_scan(&self, v: NodeId) -> usize {
-        if self.rounds_pushed == 0 {
-            return 0;
-        }
-        let start = self.start();
-        self.edge_state
-            .iter()
-            .filter(|(e, s)| e.contains(v) && s.on && s.since <= start)
-            .count()
-    }
-
-    /// The pre-incidence-list `locally_static` (full edge-map scan for the
-    /// removed-within-window clause, tests only).
-    #[cfg(test)]
-    fn locally_static_scan(&self, v: NodeId, alpha: usize) -> bool {
-        let Some(cur) = self.current() else {
-            return false;
-        };
-        let ball = crate::neighborhood::neighborhood(cur, v, alpha);
-        let start = self.start();
-        for &w in &ball {
-            for u in cur.neighbors(w) {
-                if self.edge_state[&Edge::new(w, u)].since > start {
-                    return false;
-                }
-            }
-        }
-        let ball_set: HashSet<NodeId> = ball.into_iter().collect();
-        for (e, s) in &self.edge_state {
-            if !s.on && s.since > start && (ball_set.contains(&e.u) || ball_set.contains(&e.v)) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Brute-force recomputation of the intersection graph (used by tests to
-    /// validate the incremental maintenance).
-    pub fn intersection_graph_bruteforce(&self) -> Graph {
-        self.fold_window_graphs(|acc, g| acc.intersection(g))
-    }
-
-    /// Brute-force recomputation of the union graph (testing aid).
-    pub fn union_graph_bruteforce(&self) -> Graph {
-        self.fold_window_graphs(|acc, g| acc.union(g))
-    }
-
-    /// Folds `combine` over the window's rounds, oldest first (the empty
-    /// window folds to the all-asleep graph). Every `i < len()` is a valid
-    /// [`GraphWindow::ago`] index, so the accumulator is seeded from the
-    /// oldest round without any unwrap.
-    fn fold_window_graphs(&self, combine: impl Fn(Graph, &Graph) -> Graph) -> Graph {
-        let mut acc: Option<Graph> = None;
-        for i in (0..self.len()).rev() {
-            if let Some(g) = self.ago(i) {
-                acc = Some(match acc {
-                    None => g,
-                    Some(a) => combine(a, &g),
-                });
-            }
-        }
-        acc.unwrap_or_else(|| Graph::new_all_asleep(self.n))
     }
 
     /// Depths of the window's internal maintenance queues (the lazy union
@@ -776,6 +607,63 @@ impl GraphWindow {
             node_maturity: self.node_maturity_queue.len(),
         }
     }
+}
+
+/// Intersection membership from an edge's presence run: present since the
+/// window start or earlier.
+#[inline]
+fn in_intersection(x: &Incidence, start: u64) -> bool {
+    x.on && x.since <= start
+}
+
+/// Union membership from an edge's presence run: present now, or removed
+/// recently enough that its last present round is inside the window.
+#[inline]
+fn in_union(x: &Incidence, start: u64) -> bool {
+    x.on || x.since > start
+}
+
+/// `G^∩T_r` of a [`GraphWindow`] as an [`Adjacency`] (no materialization).
+#[derive(Clone, Copy, Debug)]
+pub struct IntersectionView<'a>(&'a GraphWindow);
+
+impl Adjacency for IntersectionView<'_> {
+    fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.0.intersection_neighbors(v)
+    }
+
+    fn degree(&self, v: NodeId) -> usize {
+        self.0.intersection_degree(v)
+    }
+}
+
+/// `G^∪T_r` of a [`GraphWindow`] as an [`Adjacency`] (no materialization).
+#[derive(Clone, Copy, Debug)]
+pub struct UnionView<'a>(&'a GraphWindow);
+
+impl Adjacency for UnionView<'_> {
+    fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.0.union_neighbors(v)
+    }
+
+    fn degree(&self, v: NodeId) -> usize {
+        self.0.union_degree(v)
+    }
+}
+
+/// Brute-force reference for the window graphs: folds caller-held graphs
+/// (the last `T` rounds, oldest first) into `(G^∩T, G^∪T)` with
+/// [`Graph::intersection`] and [`Graph::union`]. Shares no bookkeeping with
+/// [`GraphWindow`], which is what makes it a reference. `None` for an empty
+/// history.
+pub fn window_graphs_bruteforce(last_t: &[Graph]) -> Option<(Graph, Graph)> {
+    let (first, rest) = last_t.split_first()?;
+    Some(
+        rest.iter()
+            .fold((first.clone(), first.clone()), |(i, u), g| {
+                (i.intersection(g), u.union(g))
+            }),
+    )
 }
 
 /// Depths of a [`GraphWindow`]'s internal maintenance queues, reported by
@@ -848,14 +736,12 @@ mod tests {
         ];
         let mut by_graph = GraphWindow::new(5, 3);
         let mut by_delta = GraphWindow::new(5, 3);
-        let mut prev: Option<Graph> = None;
+        // Round 0 is a delta from the empty window too.
+        let mut prev = Graph::new_all_asleep(5);
         for gr in &seq {
             by_graph.push(gr);
-            match prev {
-                None => by_delta.push(gr),
-                Some(p) => by_delta.push_delta(&GraphDelta::between(&p, gr)),
-            };
-            prev = Some(gr.clone());
+            by_delta.push_delta(&GraphDelta::between(&prev, gr));
+            prev = gr.clone();
             assert_eq!(by_graph.intersection_graph(), by_delta.intersection_graph());
             assert_eq!(by_graph.union_graph(), by_delta.union_graph());
             assert_eq!(by_graph.len(), by_delta.len());
@@ -873,24 +759,18 @@ mod tests {
         // Inserted *and* removed in one delta: net no-op (never present).
         loose.insert(NodeId::new(0), NodeId::new(2));
         loose.remove(NodeId::new(0), NodeId::new(2));
-        w.push_delta(&loose);
+        let u = w.push_delta(&loose);
         assert_eq!(
-            w.current().unwrap().edge_vec(),
+            w.current_graph().edge_vec(),
             vec![Edge::of(0, 1), Edge::of(1, 2)]
         );
+        // The update is tight despite the loose input.
+        assert_eq!(u.inserted, vec![Edge::of(1, 2)]);
+        assert!(u.removed.is_empty());
         assert!(w.edge_in_intersection(Edge::of(0, 1)));
         assert!(!w.edge_in_intersection(Edge::of(1, 2)));
         assert!(w.edge_in_union(Edge::of(1, 2)));
         assert!(!w.edge_in_union(Edge::of(0, 2)));
-        // The previous round reconstructs exactly despite the loose input.
-        assert_eq!(w.ago(1).unwrap().edge_vec(), vec![Edge::of(0, 1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "round-0")]
-    fn push_delta_without_initial_graph_panics() {
-        let mut w = GraphWindow::new(3, 2);
-        w.push_delta(&GraphDelta::new());
     }
 
     #[test]
@@ -928,16 +808,12 @@ mod tests {
             g(6, &[(1, 2), (3, 4), (0, 1)]),
             g(6, &[(1, 2)]),
         ];
-        for gr in &seq {
+        for (r, gr) in seq.iter().enumerate() {
             w.push(gr);
-            assert_eq!(
-                w.intersection_graph().edge_vec(),
-                w.intersection_graph_bruteforce().edge_vec()
-            );
-            assert_eq!(
-                w.union_graph().edge_vec(),
-                w.union_graph_bruteforce().edge_vec()
-            );
+            let last_t = &seq[(r + 1).saturating_sub(3)..=r];
+            let (inter, union) = window_graphs_bruteforce(last_t).unwrap();
+            assert_eq!(w.intersection_graph().edge_vec(), inter.edge_vec());
+            assert_eq!(w.union_graph().edge_vec(), union.edge_vec());
         }
     }
 
@@ -955,32 +831,19 @@ mod tests {
     }
 
     #[test]
-    fn ago_indexing() {
-        let mut w = GraphWindow::new(3, 3);
-        let g0 = g(3, &[(0, 1)]);
-        let g1 = g(3, &[(1, 2)]);
-        w.push(&g0);
-        w.push(&g1);
-        assert_eq!(w.ago(0).unwrap().edge_vec(), g1.edge_vec());
-        assert_eq!(w.ago(1).unwrap().edge_vec(), g0.edge_vec());
-        assert!(w.ago(2).is_none());
-        assert_eq!(w.current_round(), Some(1));
-        assert_eq!(w.oldest().unwrap().edge_vec(), g0.edge_vec());
-    }
-
-    #[test]
-    fn ago_reconstructs_activity() {
+    fn current_graph_materializes_activity() {
         let mut w = GraphWindow::new(4, 3);
+        assert_eq!(w.current_graph(), Graph::new_all_asleep(4));
         let mut g0 = Graph::new_all_asleep(4);
         g0.insert_edge(NodeId::new(0), NodeId::new(1));
         w.push(&g0);
+        assert_eq!(w.current_graph(), g0);
         let mut g1 = g0.clone();
         g1.activate(NodeId::new(2));
         g1.deactivate(NodeId::new(0));
         w.push(&g1);
-        let back = w.ago(1).unwrap();
-        assert_eq!(back, g0);
-        assert!(w.ago(0).unwrap() == g1);
+        assert_eq!(w.current_graph(), g1);
+        assert_eq!(w.current_round(), Some(1));
     }
 
     #[test]
@@ -989,8 +852,8 @@ mod tests {
         let _ = GraphWindow::new(3, 0);
     }
 
-    /// Applies a [`WindowUpdate`] to shadow copies of the window graphs —
-    /// exactly what the incremental verifier does with its ledger.
+    /// Applies a [`WindowUpdate`] to shadow copies of the window graphs: the
+    /// update must carry every membership change a consumer needs.
     fn patch_shadow(
         u: &WindowUpdate,
         inter: &mut Graph,
@@ -1054,14 +917,8 @@ mod tests {
                         cur.activate(v);
                     }
                 }
-                let update = w.push(&cur);
-                if update.initial {
-                    inter = w.intersection_graph();
-                    union = w.union_graph();
-                    vcap = w.intersection_nodes().into_iter().collect();
-                } else {
-                    patch_shadow(&update, &mut inter, &mut union, &mut vcap);
-                }
+                // Round 0 patches the empty shadows like any other round.
+                patch_shadow(&w.push(&cur), &mut inter, &mut union, &mut vcap);
                 assert_eq!(
                     inter.edge_vec(),
                     w.intersection_graph().edge_vec(),
@@ -1079,48 +936,161 @@ mod tests {
         }
     }
 
+    /// Asserts that every incidence entry's `twin` points at its mirror
+    /// entry and that both carry the same run.
+    fn assert_twins_consistent(w: &GraphWindow) {
+        for (i, list) in w.incidence.iter().enumerate() {
+            for (pos, x) in list.iter().enumerate() {
+                let m = w.incidence[x.other.index()][x.twin];
+                assert_eq!(
+                    (m.other, m.twin, m.on, m.since),
+                    (NodeId::new(i), pos, x.on, x.since),
+                    "twin of entry {pos} at node {i}"
+                );
+            }
+        }
+    }
+
+    /// Compares every query of `w` against full scans of the last-T graphs.
+    fn assert_matches_history(w: &GraphWindow, last_t: &[Graph], ctx: &str) {
+        let (inter, union) = window_graphs_bruteforce(last_t).unwrap();
+        let cur = last_t.last().unwrap();
+        assert_eq!(&w.current_graph(), cur, "{ctx}: current graph");
+        assert_eq!(w.intersection_graph().edge_vec(), inter.edge_vec(), "{ctx}");
+        assert_eq!(w.union_graph().edge_vec(), union.edge_vec(), "{ctx}");
+        let vcap: Vec<NodeId> = inter.active_nodes().collect();
+        assert_eq!(w.intersection_nodes(), vcap, "{ctx}: V^∩T");
+        let sorted = |it: &mut dyn Iterator<Item = NodeId>| {
+            let mut v: Vec<NodeId> = it.collect();
+            v.sort();
+            v
+        };
+        for v in cur.nodes() {
+            let (iv, uv) = (w.intersection_view(), w.union_view());
+            assert_eq!(
+                sorted(&mut Adjacency::neighbors(&iv, v)),
+                inter.neighbors_vec(v),
+                "{ctx}: intersection_neighbors({v})"
+            );
+            assert_eq!(
+                sorted(&mut Adjacency::neighbors(&uv, v)),
+                union.neighbors_vec(v),
+                "{ctx}: union_neighbors({v})"
+            );
+            assert_eq!(w.intersection_degree(v), inter.degree(v), "{ctx}");
+            assert_eq!(w.union_degree(v), union.degree(v), "{ctx}");
+            assert_eq!(Adjacency::degree(&iv, v), inter.degree(v), "{ctx}");
+            assert_eq!(Adjacency::degree(&uv, v), union.degree(v), "{ctx}");
+            for alpha in [0usize, 1, 2] {
+                // Locally static: every window round gives each ball node
+                // (ball taken in the current graph) the same neighbors.
+                let ball = crate::neighborhood::neighborhood(cur, v, alpha);
+                let want = ball.iter().all(|&b| {
+                    last_t
+                        .iter()
+                        .all(|g| g.neighbors_vec(b) == cur.neighbors_vec(b))
+                });
+                assert_eq!(
+                    w.locally_static(v, alpha),
+                    want,
+                    "{ctx}: locally_static({v}, {alpha})"
+                );
+            }
+        }
+        assert_twins_consistent(w);
+    }
+
     #[test]
     fn incidence_degree_queries_match_full_scans() {
-        // Randomized runs across window sizes: after every push, the
-        // incidence-list degree queries and `locally_static` must agree
-        // with the original full-edge-map scans for every node.
+        // Randomized delta runs across window sizes. After every push the
+        // degree and neighbor queries, both views, `locally_static` and the
+        // materialized graphs must agree with full scans of a test-held
+        // history of the last T graphs. The deltas mix edge toggles
+        // (including implicit wake-ups), an edge inserted and removed in one
+        // delta, re-insertion of an edge removed the round before (still in
+        // G^∪T for T ≥ 2), and node churn.
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
         let n = 10;
         for t in [1usize, 2, 3, 5] {
             let mut w = GraphWindow::new(n, t);
-            let mut cur = Graph::new(n);
-            for round in 0..50 {
+            let mut history: VecDeque<Graph> = VecDeque::new();
+            let mut cur = Graph::new_all_asleep(n);
+            let mut last_removed: Vec<Edge> = Vec::new();
+            for round in 0..60 {
+                let mut d = GraphDelta::new();
                 for _ in 0..rng.gen_range(0..5) {
-                    let a = rng.gen_range(0..n);
-                    let b = rng.gen_range(0..n);
-                    if a != b {
-                        cur.toggle_edge(NodeId::new(a), NodeId::new(b));
+                    let a = NodeId::new(rng.gen_range(0..n));
+                    let b = NodeId::new(rng.gen_range(0..n));
+                    if a == b {
+                        continue;
+                    }
+                    if rng.gen_bool(0.2) {
+                        d.insert(a, b).remove(a, b);
+                    } else if cur.has_edge(a, b) {
+                        d.remove(a, b);
+                    } else {
+                        d.insert(a, b);
                     }
                 }
-                w.push(&cur);
-                for i in 0..n {
-                    let v = NodeId::new(i);
-                    assert_eq!(
-                        w.union_degree(v),
-                        w.union_degree_scan(v),
-                        "T={t} round={round} union_degree({i})"
-                    );
-                    assert_eq!(
-                        w.intersection_degree(v),
-                        w.intersection_degree_scan(v),
-                        "T={t} round={round} intersection_degree({i})"
-                    );
-                    for alpha in [0usize, 1, 2] {
-                        assert_eq!(
-                            w.locally_static(v, alpha),
-                            w.locally_static_scan(v, alpha),
-                            "T={t} round={round} locally_static({i}, {alpha})"
-                        );
+                if let Some(&e) = last_removed.first() {
+                    if rng.gen_bool(0.5) {
+                        d.insert(e.u, e.v);
                     }
                 }
+                if rng.gen_bool(0.2) {
+                    let v = NodeId::new(rng.gen_range(0..n));
+                    if cur.is_active(v) {
+                        d.deactivate(v);
+                    } else {
+                        d.wake(v);
+                    }
+                }
+                d.apply(&mut cur);
+                last_removed = w.push_delta(&d).removed;
+                history.push_back(cur.clone());
+                if history.len() > t {
+                    history.pop_front();
+                }
+                assert_matches_history(
+                    &w,
+                    history.make_contiguous(),
+                    &format!("T={t} round={round}"),
+                );
             }
         }
+    }
+
+    #[test]
+    fn hub_mass_expiry_keeps_twins_consistent() {
+        // All 2000 spokes of a star leave in one round. The centre's union
+        // degree stays 2000 for T - 1 rounds, then drops to 0 in the round
+        // the removal slides out; the collection swap-removes the centre's
+        // list entry by entry, re-pointing the moved entries' twins.
+        let spokes = 2000;
+        let t = 4;
+        let centre = NodeId::new(0);
+        let star = Graph::from_edges(spokes + 1, (1..=spokes).map(|i| Edge::of(0, i)));
+        let mut w = GraphWindow::new(spokes + 1, t);
+        w.push(&star);
+        let mut cut = GraphDelta::new();
+        for i in 1..=spokes {
+            cut.remove(centre, NodeId::new(i));
+        }
+        assert_eq!(w.push_delta(&cut).removed.len(), spokes);
+        for round in 1..t {
+            if round > 1 {
+                assert!(w.push_delta(&GraphDelta::new()).is_empty());
+            }
+            assert_eq!(w.union_degree(centre), spokes, "round {round}");
+            assert_eq!(w.intersection_degree(centre), 0, "round {round}");
+            assert_twins_consistent(&w);
+        }
+        let expiry = w.push_delta(&GraphDelta::new());
+        assert_eq!(expiry.edges_left_union.len(), spokes);
+        assert_eq!(w.union_degree(centre), 0);
+        assert!(w.incidence.iter().all(Vec::is_empty));
+        assert_twins_consistent(&w);
     }
 
     #[test]
@@ -1161,7 +1131,6 @@ mod tests {
         let mut g0 = Graph::new_all_asleep(3);
         g0.activate(NodeId::new(0));
         let u0 = w.push(&g0);
-        assert!(u0.initial);
         assert_eq!(u0.nodes_joined_intersection, vec![NodeId::new(0)]);
         let mut d1 = GraphDelta::new();
         d1.wake(NodeId::new(2));
@@ -1191,11 +1160,10 @@ mod tests {
     fn materialized_graphs_are_history_independent() {
         // Two windows that end up holding the same last-T rounds must
         // materialize identical graphs, regardless of the order edges
-        // entered `edge_state` (initial bulk load vs. one-at-a-time in
-        // reverse) and of pre-window churn that has since slid out. This
-        // pins the `BTreeMap` choice for `edge_state`: with a hash map the
-        // iteration in `union_graph`/`intersection_graph` would depend on
-        // insertion history even when the window contents agree.
+        // entered the incidence lists (initial bulk load vs. one-at-a-time
+        // in reverse) and of pre-window churn that has since slid out — the
+        // lists' entry order depends on that history, the materialized
+        // graphs must not.
         let final_rounds = [
             g(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]),
             g(6, &[(0, 1), (1, 2), (3, 4)]),
