@@ -2,9 +2,9 @@
 //! Concat framework vs. the restart-from-scratch strawman (E11), the TDMA
 //! application under mobility (E13), and simulator throughput (E14). All
 //! runs stream through `Scenario` observers constructed per sweep cell; the
-//! grids are declared as `SweepSpec`s on the harness `SweepEngine` (E14 runs
-//! on the serial engine — it measures wall-clock time, so sibling cells must
-//! not share the machine).
+//! grids are declared as `SweepSpec`s and run through `ExpContext::run`
+//! (E14 runs on the serial engine — it measures wall-clock time, so sibling
+//! cells must not share the machine).
 
 use super::ExpContext;
 use dynnet::algorithms::apps::tdma;
@@ -12,7 +12,7 @@ use dynnet::core::mis::independence_violations;
 use dynnet::metrics::{fmt2, fmt_pct, Summary, Table};
 use dynnet::prelude::*;
 use dynnet::runtime::rng::experiment_rng;
-use dynnet::sweep::{run_observed, Cell, CellRows, SweepSpec};
+use dynnet::sweep::SweepSpec;
 use std::time::Instant;
 
 /// Streaming observer: counts undecided node-rounds from round `from` on.
@@ -75,68 +75,66 @@ pub fn e9_oblivious_vs_adaptive(ctx: &ExpContext) -> Vec<Table> {
     let spec = SweepSpec::grid1("e9", cases, |&(name, adaptive)| {
         (name.to_string(), (name, adaptive))
     });
-    ctx.engine
-        .aggregate(
-            &spec,
-            |cell| {
-                let (name, adaptive) = cell.params;
-                let footprint = generators::grid(16, 16);
-                let mut undecided = UndecidedNodeRounds {
-                    from: window as u64,
-                    total: 0,
-                };
-                let mut violations = IntersectionViolations {
-                    window: GraphWindow::new(n, window),
-                    total: 0,
-                };
-                let mut verifier = TDynamicVerifier::new(MisProblem, window);
-                let mut churn = ChurnStats::new();
-                let observers: &mut [&mut dyn RoundObserver<MisOutput>] =
-                    &mut [&mut undecided, &mut violations, &mut verifier, &mut churn];
-                let scenario = Scenario::new(n)
-                    .algorithm(dynamic_mis(n, window))
-                    .seed(9)
-                    .rounds(rounds);
-                if adaptive {
-                    let adv: ConflictSeekingAdversary<MisOutput, _> = ConflictSeekingAdversary::new(
-                        footprint.clone(),
-                        |a: &MisOutput, b: &MisOutput| a.in_mis() && b.in_mis(),
-                        8,
-                        0.02,
-                        (2 * window) as u64,
-                        91,
-                    );
-                    scenario.adversary(adv).run(observers);
-                } else {
-                    scenario
-                        .adversary(FlipChurnAdversary::new(&footprint, 0.02, 90))
-                        .run(observers);
-                }
-                let summary = verifier.into_summary();
-                let churn_rate = churn.total_from(window) as f64 / (rounds - window) as f64;
-                vec![
-                    name.to_string(),
-                    undecided.total.to_string(),
-                    violations.total.to_string(),
-                    format!("{}/{}", summary.rounds_valid, summary.rounds_checked),
-                    fmt2(churn_rate),
-                ]
-            },
-            CellRows::new(
-                format!(
-                    "E9 — Combined MIS against oblivious vs. adaptive adversaries, n = {n}, T = {window}"
-                ),
-                &[
-                    "adversary",
-                    "undecided node-rounds (lower = faster progress)",
-                    "independence violations on G^∩T (total)",
-                    "T-dynamic valid rounds",
-                    "output changes/round",
-                ],
-                |_cell: &Cell<(&str, bool)>, row: Vec<String>| vec![row],
-            ),
-        )
-        .expect("e9 sweep")
+    let run = ctx.run(&spec, |cell| {
+        let (name, adaptive) = cell.params;
+        let footprint = generators::grid(16, 16);
+        let mut undecided = UndecidedNodeRounds {
+            from: window as u64,
+            total: 0,
+        };
+        let mut violations = IntersectionViolations {
+            window: GraphWindow::new(n, window),
+            total: 0,
+        };
+        let mut verifier = TDynamicVerifier::new(MisProblem, window);
+        let mut churn = ChurnStats::new();
+        let observers: &mut [&mut dyn RoundObserver<MisOutput>] =
+            &mut [&mut undecided, &mut violations, &mut verifier, &mut churn];
+        let scenario = Scenario::new(n)
+            .algorithm(dynamic_mis(n, window))
+            .seed(9)
+            .rounds(rounds);
+        if adaptive {
+            let adv: ConflictSeekingAdversary<MisOutput, _> = ConflictSeekingAdversary::new(
+                footprint.clone(),
+                |a: &MisOutput, b: &MisOutput| a.in_mis() && b.in_mis(),
+                8,
+                0.02,
+                (2 * window) as u64,
+                91,
+            );
+            scenario.adversary(adv).run(observers);
+        } else {
+            scenario
+                .adversary(FlipChurnAdversary::new(&footprint, 0.02, 90))
+                .run(observers);
+        }
+        let summary = verifier.into_summary();
+        let churn_rate = churn.total_from(window) as f64 / (rounds - window) as f64;
+        vec![
+            name.to_string(),
+            undecided.total.to_string(),
+            violations.total.to_string(),
+            format!("{}/{}", summary.rounds_valid, summary.rounds_checked),
+            fmt2(churn_rate),
+        ]
+    });
+    let mut table = Table::new(
+        format!(
+            "E9 — Combined MIS against oblivious vs. adaptive adversaries, n = {n}, T = {window}"
+        ),
+        &[
+            "adversary",
+            "undecided node-rounds (lower = faster progress)",
+            "independence violations on G^∩T (total)",
+            "T-dynamic valid rounds",
+            "output changes/round",
+        ],
+    );
+    for row in run.into_results() {
+        table.push_row(row);
+    }
+    vec![table]
 }
 
 /// E11: Concat vs. restart-from-scratch on identical schedules, for both
@@ -156,114 +154,112 @@ pub fn e11_concat_vs_restart(ctx: &ExpContext) -> Vec<Table> {
     let spec = SweepSpec::grid2("e11", churns, problems, |&churn, &problem| {
         (format!("{problem} p={churn}"), (churn, problem))
     });
-    let steady = move |total: usize| total as f64 / (rounds - 2 * window) as f64;
     let period = window as u64;
-    ctx.engine
-        .aggregate(
-            &spec,
-            move |cell| {
-                let (churn, problem) = cell.params;
-                let footprint = generators::shared_footprint(
-                    &generators::GraphFamily::ErdosRenyi { avg_degree: 8.0 },
-                    n,
-                    11,
-                    "e11",
-                    || generators::erdos_renyi_avg_degree(n, 8.0, &mut experiment_rng(11, "e11")),
-                );
-                if problem == "coloring" {
-                    let mut concat_verifier = TDynamicVerifier::new(ColoringProblem, window);
-                    let mut concat_churn = ChurnStats::new();
-                    let mut recorder = TraceRecorder::graphs_only();
-                    Scenario::new(n)
-                        .algorithm(dynamic_coloring(window))
-                        .adversary(FlipChurnAdversary::new(
-                            &footprint,
-                            churn,
-                            500 + (churn * 1e4) as u64,
-                        ))
-                        .seed(11)
-                        .rounds(rounds)
-                        .run(&mut [&mut concat_verifier, &mut concat_churn, &mut recorder]);
-                    let concat_summary = concat_verifier.into_summary();
+    let run = ctx.run(&spec, |cell| {
+        let (churn, problem) = cell.params;
+        let footprint = generators::shared_footprint(
+            &generators::GraphFamily::ErdosRenyi { avg_degree: 8.0 },
+            n,
+            11,
+            "e11",
+            || generators::erdos_renyi_avg_degree(n, 8.0, &mut experiment_rng(11, "e11")),
+        );
+        if problem == "coloring" {
+            let mut concat_verifier = TDynamicVerifier::new(ColoringProblem, window);
+            let mut concat_churn = ChurnStats::new();
+            let mut recorder = TraceRecorder::graphs_only();
+            Scenario::new(n)
+                .algorithm(dynamic_coloring(window))
+                .adversary(FlipChurnAdversary::new(
+                    &footprint,
+                    churn,
+                    500 + (churn * 1e4) as u64,
+                ))
+                .seed(11)
+                .rounds(rounds)
+                .run(&mut [&mut concat_verifier, &mut concat_churn, &mut recorder]);
+            let concat_summary = concat_verifier.into_summary();
 
-                    let mut restart_verifier = TDynamicVerifier::new(ColoringProblem, window);
-                    let mut restart_churn = ChurnStats::new();
-                    Scenario::new(n)
-                        .algorithm(move |v: NodeId| RestartColoring::new(v, period))
-                        .adversary(ScriptedAdversary::new(recorder.into_trace().expect("recorded trace")))
-                        .seed(12)
-                        .rounds(rounds)
-                        .run(&mut [&mut restart_verifier, &mut restart_churn]);
-                    let restart_summary = restart_verifier.into_summary();
-                    (
-                        concat_summary,
-                        restart_summary,
-                        concat_churn.total_from(2 * window),
-                        restart_churn.total_from(2 * window),
-                    )
-                } else {
-                    let mut concat_verifier = TDynamicVerifier::new(MisProblem, window);
-                    let mut concat_churn = ChurnStats::new();
-                    let mut recorder = TraceRecorder::graphs_only();
-                    Scenario::new(n)
-                        .algorithm(dynamic_mis(n, window))
-                        .adversary(FlipChurnAdversary::new(
-                            &footprint,
-                            churn,
-                            600 + (churn * 1e4) as u64,
-                        ))
-                        .seed(13)
-                        .rounds(rounds)
-                        .run(&mut [&mut concat_verifier, &mut concat_churn, &mut recorder]);
-                    let concat_summary = concat_verifier.into_summary();
+            let mut restart_verifier = TDynamicVerifier::new(ColoringProblem, window);
+            let mut restart_churn = ChurnStats::new();
+            Scenario::new(n)
+                .algorithm(move |v: NodeId| RestartColoring::new(v, period))
+                .adversary(ScriptedAdversary::new(
+                    recorder.into_trace().expect("recorded trace"),
+                ))
+                .seed(12)
+                .rounds(rounds)
+                .run(&mut [&mut restart_verifier, &mut restart_churn]);
+            let restart_summary = restart_verifier.into_summary();
+            (
+                concat_summary,
+                restart_summary,
+                concat_churn.total_from(2 * window),
+                restart_churn.total_from(2 * window),
+            )
+        } else {
+            let mut concat_verifier = TDynamicVerifier::new(MisProblem, window);
+            let mut concat_churn = ChurnStats::new();
+            let mut recorder = TraceRecorder::graphs_only();
+            Scenario::new(n)
+                .algorithm(dynamic_mis(n, window))
+                .adversary(FlipChurnAdversary::new(
+                    &footprint,
+                    churn,
+                    600 + (churn * 1e4) as u64,
+                ))
+                .seed(13)
+                .rounds(rounds)
+                .run(&mut [&mut concat_verifier, &mut concat_churn, &mut recorder]);
+            let concat_summary = concat_verifier.into_summary();
 
-                    let mut restart_verifier = TDynamicVerifier::new(MisProblem, window);
-                    let mut restart_churn = ChurnStats::new();
-                    Scenario::new(n)
-                        .algorithm(move |v: NodeId| RestartMis::new(v, period))
-                        .adversary(ScriptedAdversary::new(recorder.into_trace().expect("recorded trace")))
-                        .seed(14)
-                        .rounds(rounds)
-                        .run(&mut [&mut restart_verifier, &mut restart_churn]);
-                    let restart_summary = restart_verifier.into_summary();
-                    (
-                        concat_summary,
-                        restart_summary,
-                        concat_churn.total_from(2 * window),
-                        restart_churn.total_from(2 * window),
-                    )
-                }
-            },
-            CellRows::new(
-                format!("E11 — Concat (Corollaries 1.2/1.3) vs. restart-every-T strawman, n = {n}, T = {window}"),
-                &[
-                    "problem",
-                    "churn p",
-                    "Concat valid rounds",
-                    "restart valid rounds",
-                    "Concat output changes/round",
-                    "restart output changes/round",
-                ],
-                move |cell: &Cell<(f64, &str)>,
-                      (concat, restart, concat_changes, restart_changes): (
-                    VerificationSummary,
-                    VerificationSummary,
-                    usize,
-                    usize,
-                )| {
-                    let (churn, problem) = cell.params;
-                    vec![vec![
-                        problem.to_string(),
-                        format!("{churn}"),
-                        format!("{}/{}", concat.rounds_valid, concat.rounds_checked),
-                        format!("{}/{}", restart.rounds_valid, restart.rounds_checked),
-                        fmt2(steady(concat_changes)),
-                        fmt2(steady(restart_changes)),
-                    ]]
-                },
-            ),
-        )
-        .expect("e11 sweep")
+            let mut restart_verifier = TDynamicVerifier::new(MisProblem, window);
+            let mut restart_churn = ChurnStats::new();
+            Scenario::new(n)
+                .algorithm(move |v: NodeId| RestartMis::new(v, period))
+                .adversary(ScriptedAdversary::new(
+                    recorder.into_trace().expect("recorded trace"),
+                ))
+                .seed(14)
+                .rounds(rounds)
+                .run(&mut [&mut restart_verifier, &mut restart_churn]);
+            let restart_summary = restart_verifier.into_summary();
+            (
+                concat_summary,
+                restart_summary,
+                concat_churn.total_from(2 * window),
+                restart_churn.total_from(2 * window),
+            )
+        }
+    });
+    let mut table = Table::new(
+        format!(
+            "E11 — Concat (Corollaries 1.2/1.3) vs. restart-every-T strawman, n = {n}, T = {window}"
+        ),
+        &[
+            "problem",
+            "churn p",
+            "Concat valid rounds",
+            "restart valid rounds",
+            "Concat output changes/round",
+            "restart output changes/round",
+        ],
+    );
+    let steady = |total: usize| total as f64 / (rounds - 2 * window) as f64;
+    for (cell, (concat, restart, concat_changes, restart_changes)) in
+        spec.cells().iter().zip(run.results())
+    {
+        let (churn, problem) = cell.params;
+        table.push_row(vec![
+            problem.to_string(),
+            format!("{churn}"),
+            format!("{}/{}", concat.rounds_valid, concat.rounds_checked),
+            format!("{}/{}", restart.rounds_valid, restart.rounds_checked),
+            fmt2(steady(*concat_changes)),
+            fmt2(steady(*restart_changes)),
+        ]);
+    }
+    vec![table]
 }
 
 /// Streaming observer running one TDMA frame per round (from `from` on).
@@ -293,8 +289,8 @@ impl RoundObserver<ColorOutput> for TdmaProbe {
 }
 
 /// E13: TDMA slot assignment under random-waypoint mobility. One sweep cell
-/// per speed band; each cell's observer set (probe + trace recorder) is
-/// built by an `ObserverFactory` on the worker that runs the cell.
+/// per speed band; each cell builds its own probe and trace recorder and
+/// returns the numbers its table row needs.
 pub fn e13_tdma_mobility(ctx: &ExpContext) -> Vec<Table> {
     let n = 256;
     let window = recommended_window(n);
@@ -312,39 +308,40 @@ pub fn e13_tdma_mobility(ctx: &ExpContext) -> Vec<Table> {
     let spec = SweepSpec::grid1("e13", speeds, |&(name, lo, hi)| {
         (name.to_string(), (name, lo, hi))
     });
-    let run = run_observed(
-        &ctx.engine,
-        &spec,
-        || {
-            (
-                TdmaProbe {
-                    from: window as u64,
-                    success_rates: Vec::new(),
-                    frame_lengths: Vec::new(),
-                    max_deg: 0,
+    // Per cell: (edge changes, mean success rate, min success rate, mean
+    // frame length, max degree).
+    let run = ctx.run(&spec, |cell| {
+        let (_, min_speed, max_speed) = cell.params;
+        let mut probe = TdmaProbe {
+            from: window as u64,
+            success_rates: Vec::new(),
+            frame_lengths: Vec::new(),
+            max_deg: 0,
+        };
+        let mut recorder = TraceRecorder::<ColorOutput>::graphs_only();
+        Scenario::new(n)
+            .algorithm(dynamic_coloring(window))
+            .adversary(MobilityAdversary::new(
+                MobilityConfig {
+                    n,
+                    radius: 0.08,
+                    min_speed,
+                    max_speed,
                 },
-                TraceRecorder::<ColorOutput>::graphs_only(),
-            )
-        },
-        |cell, observers| {
-            let (_, min_speed, max_speed) = cell.params;
-            Scenario::new(n)
-                .algorithm(dynamic_coloring(window))
-                .adversary(MobilityAdversary::new(
-                    MobilityConfig {
-                        n,
-                        radius: 0.08,
-                        min_speed,
-                        max_speed,
-                    },
-                    131,
-                ))
-                .seed(13)
-                .rounds(rounds)
-                .run(&mut [observers]);
-        },
-    )
-    .expect("e13 sweep");
+                131,
+            ))
+            .seed(13)
+            .rounds(rounds)
+            .run(&mut [&mut probe, &mut recorder]);
+        let success = Summary::of(&probe.success_rates);
+        (
+            recorder.trace().map_or(0, |t| t.total_edge_changes()),
+            success.mean,
+            success.min,
+            Summary::of(&probe.frame_lengths).mean,
+            probe.max_deg,
+        )
+    });
     let mut table = Table::new(
         format!("E13 — TDMA on the combined coloring under mobility, n = {n}, T = {window}"),
         &[
@@ -356,15 +353,16 @@ pub fn e13_tdma_mobility(ctx: &ExpContext) -> Vec<Table> {
             "max degree+1 (upper bound)",
         ],
     );
-    for (cell, (probe, recorder)) in spec.cells().iter().zip(run.into_results()) {
-        let s = Summary::of(&probe.success_rates);
+    for (cell, &(edge_changes, mean_success, min_success, mean_frame, max_deg)) in
+        spec.cells().iter().zip(run.results())
+    {
         table.push_row(vec![
             cell.params.0.to_string(),
-            fmt2(recorder.trace().map_or(0, |t| t.total_edge_changes()) as f64 / rounds as f64),
-            fmt_pct(s.mean),
-            fmt_pct(s.min),
-            fmt2(Summary::of(&probe.frame_lengths).mean),
-            (probe.max_deg + 1).to_string(),
+            fmt2(edge_changes as f64 / rounds as f64),
+            fmt_pct(mean_success),
+            fmt_pct(min_success),
+            fmt2(mean_frame),
+            (max_deg + 1).to_string(),
         ]);
     }
     vec![table]
@@ -396,7 +394,6 @@ pub fn e14_simulator_throughput(ctx: &ExpContext) -> Vec<Table> {
             seed: 14,
             parallel,
             parallel_threshold: 0,
-            ..SimConfig::default()
         };
         // TIMING: this experiment (E13) measures wall-clock speedup; timings
         // are reported as measurements, not mixed into simulation output.
@@ -433,39 +430,38 @@ pub fn e14_simulator_throughput(ctx: &ExpContext) -> Vec<Table> {
     for &n in combined_ns {
         spec.push(format!("combined n={n}"), (true, n, 15usize));
     }
-    ctx.serial_engine()
-        .aggregate(
-            &spec,
-            move |cell| {
-                let (combined, n, rounds) = cell.params;
-                let seq = time_per_round(false, n, rounds, combined);
-                let par = time_per_round(true, n, rounds, combined);
-                (seq, par)
+    let run = ctx
+        .serial_engine()
+        .run(&spec, |cell| {
+            let (combined, n, rounds) = cell.params;
+            let seq = time_per_round(false, n, rounds, combined);
+            let par = time_per_round(true, n, rounds, combined);
+            (seq, par)
+        })
+        .expect("e14 sweep");
+    let mut table = Table::new(
+        "E14 — Simulator throughput (ER d̄=10, churn p=0.01, release build)",
+        &[
+            "algorithm",
+            "n",
+            "sequential ms/round",
+            "parallel ms/round",
+            "speedup",
+        ],
+    );
+    for (cell, &(seq, par)) in spec.cells().iter().zip(run.results()) {
+        let (combined, n, _) = cell.params;
+        table.push_row(vec![
+            if combined {
+                "Combined MIS (Corollary 1.3)".into()
+            } else {
+                "DMis (single instance)".into()
             },
-            CellRows::new(
-                "E14 — Simulator throughput (ER d̄=10, churn p=0.01, release build)",
-                &[
-                    "algorithm",
-                    "n",
-                    "sequential ms/round",
-                    "parallel ms/round",
-                    "speedup",
-                ],
-                |cell: &Cell<(bool, usize, usize)>, (seq, par): (f64, f64)| {
-                    let (combined, n, _) = cell.params;
-                    vec![vec![
-                        if combined {
-                            "Combined MIS (Corollary 1.3)".into()
-                        } else {
-                            "DMis (single instance)".into()
-                        },
-                        n.to_string(),
-                        fmt2(seq),
-                        fmt2(par),
-                        fmt2(seq / par),
-                    ]]
-                },
-            ),
-        )
-        .expect("e14 sweep")
+            n.to_string(),
+            fmt2(seq),
+            fmt2(par),
+            fmt2(seq / par),
+        ]);
+    }
+    vec![table]
 }

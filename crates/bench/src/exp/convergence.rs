@@ -1,9 +1,9 @@
 //! Convergence-time experiments: round complexity of the basic coloring,
 //! DColor, DMis and SMis as a function of `n`, with `O(log n)` shape checks,
 //! plus the per-round progress constants of Lemmas 4.3 and 5.2. Every
-//! experiment declares its grid as a `SweepSpec` and executes on the
-//! harness-wide work-stealing `SweepEngine`; aggregation folds the per-cell
-//! results in grid order, so the tables are identical for any thread count.
+//! experiment declares its grid as a `SweepSpec` and executes through
+//! `ExpContext::run`; the tables are built from the results in grid order,
+//! so they are identical for any thread count.
 
 use super::ExpContext;
 use dynnet::core::mis::independence_violations;
@@ -12,7 +12,7 @@ use dynnet::metrics::{fmt2, log_fit, Summary, Table};
 use dynnet::prelude::*;
 use dynnet::runtime::rng::experiment_rng;
 use dynnet::runtime::AlgorithmFactory;
-use dynnet::sweep::{Cell, CellRows, CellValue, SweepSpec};
+use dynnet::sweep::{CellValue, SweepSpec};
 
 const N_SWEEP: &[usize] = &[64, 128, 256, 512, 1024, 2048, 4096];
 const N_SWEEP_SMOKE: &[usize] = &[64, 128, 256];
@@ -48,6 +48,23 @@ fn scaling_row(label: String, n: usize, s: &Summary) -> Vec<String> {
         fmt2(s.max),
         fmt2(s.mean / (n as f64).log2()),
     ]
+}
+
+/// One `Summary` per grid point of a seed-ensemble sweep, keyed by
+/// `key(params)` of the point's first cell. Seeds are the innermost grid
+/// axis, so each run of `seeds` consecutive results is one point's seeds.
+fn per_point<P, K>(
+    spec: &SweepSpec<P>,
+    results: &[f64],
+    seeds: usize,
+    key: impl Fn(&P) -> K,
+) -> Vec<(K, Summary)> {
+    spec.cells()
+        .iter()
+        .step_by(seeds)
+        .zip(results.chunks(seeds))
+        .map(|(cell, samples)| (key(&cell.params), Summary::of(samples)))
+        .collect()
 }
 
 /// The `O(log n)` shape-check table: one least-squares `log2` fit per outer
@@ -89,49 +106,40 @@ pub fn e1_basic_coloring_scaling(ctx: &ExpContext) -> Vec<Table> {
     let spec = SweepSpec::grid3("e1", &family_idx, n_axis, &seeds, |&f, &n, &seed| {
         (format!("{} n={n} seed={seed}", families[f]), (f, n, seed))
     });
-    // Streaming grouped sweep: each (family, n) group folds to its Summary
-    // as its last seed lands, so only in-flight groups are buffered (and
-    // every finished cell checkpoints under `--checkpoint-dir`).
-    let grouped = ctx.run_grouped(
-        &spec,
-        |cell| {
-            let (f, n, seed) = cell.params;
-            let name = families[f];
-            let fam = if f == 1 {
-                generators::GraphFamily::Geometric {
-                    radius: 4.0 / (n as f64).sqrt(),
-                }
-            } else {
-                generators::GraphFamily::ErdosRenyi { avg_degree: 10.0 }
-            };
-            let g = fam.generate(n, &mut experiment_rng(seed, &format!("e1-{name}-{n}")));
-            rounds_until_done(
-                Scenario::new(n)
-                    .algorithm(BasicColoring::new)
-                    .adversary(StaticAdversary::new(g))
-                    .seed(seed)
-                    .rounds(400),
-                |o: &ColorOutput| o.is_decided(),
-            ) as f64
-        },
-        |c: &Cell<(usize, usize, u64)>| (c.params.0, c.params.1),
-        |k: &(usize, usize), _cells: &[Cell<(usize, usize, u64)>], results: Vec<f64>| {
-            (*k, Summary::of(&results))
-        },
-    );
+    let run = ctx.run(&spec, |cell| {
+        let (f, n, seed) = cell.params;
+        let name = families[f];
+        let fam = if f == 1 {
+            generators::GraphFamily::Geometric {
+                radius: 4.0 / (n as f64).sqrt(),
+            }
+        } else {
+            generators::GraphFamily::ErdosRenyi { avg_degree: 10.0 }
+        };
+        let g = fam.generate(n, &mut experiment_rng(seed, &format!("e1-{name}-{n}")));
+        rounds_until_done(
+            Scenario::new(n)
+                .algorithm(BasicColoring::new)
+                .adversary(StaticAdversary::new(g))
+                .seed(seed)
+                .rounds(400),
+            |o: &ColorOutput| o.is_decided(),
+        ) as f64
+    });
+    let groups = per_point(&spec, run.results(), seeds.len(), |&(f, n, _)| (f, n));
     let mut table = Table::new(
         "E1 — Basic coloring (Algorithm 6): rounds until all nodes colored (static graphs)",
         &["family", "n", "mean rounds", "max rounds", "mean/log2(n)"],
     );
-    for (k, s) in &grouped.groups {
-        table.push_row(scaling_row(families[k.0].to_string(), k.1, s));
+    for ((f, n), s) in &groups {
+        table.push_row(scaling_row(families[*f].to_string(), *n, s));
     }
     vec![
         table,
         fit_table(
             "E1 — O(log n) shape check (least-squares fit of mean rounds)",
             "family",
-            &grouped.groups,
+            &groups,
             |&f| families[f].to_string(),
         ),
     ]
@@ -150,52 +158,43 @@ pub fn e2_dcolor_scaling_under_churn(ctx: &ExpContext) -> Vec<Table> {
     let spec = SweepSpec::grid3("e2", churns, n_axis, &seeds, |&churn, &n, &seed| {
         (format!("p={churn} n={n} seed={seed}"), (churn, n, seed))
     });
-    let grouped = ctx.run_grouped(
-        &spec,
-        |cell| {
-            let (churn, n, seed) = cell.params;
-            let footprint = generators::shared_footprint(
-                &generators::GraphFamily::ErdosRenyi { avg_degree: 10.0 },
-                n,
-                seed,
-                "e2",
-                || {
-                    generators::erdos_renyi_avg_degree(
-                        n,
-                        10.0,
-                        &mut experiment_rng(seed, &format!("e2-{n}")),
-                    )
-                },
-            );
-            rounds_until_done(
-                Scenario::new(n)
-                    .algorithm(|v: NodeId| DColor::new(v, ColorOutput::Undecided))
-                    .adversary(FlipChurnAdversary::new(&footprint, churn, 100 + seed))
-                    .seed(seed)
-                    .rounds(400),
-                |o: &ColorOutput| o.is_decided(),
-            ) as f64
-        },
-        |c: &Cell<(f64, usize, u64)>| (c.params.0, c.params.1),
-        |k: &(f64, usize), _cells: &[Cell<(f64, usize, u64)>], results: Vec<f64>| {
-            (*k, Summary::of(&results))
-        },
-    );
+    let run = ctx.run(&spec, |cell| {
+        let (churn, n, seed) = cell.params;
+        let footprint = generators::shared_footprint(
+            &generators::GraphFamily::ErdosRenyi { avg_degree: 10.0 },
+            n,
+            seed,
+            "e2",
+            || {
+                generators::erdos_renyi_avg_degree(
+                    n,
+                    10.0,
+                    &mut experiment_rng(seed, &format!("e2-{n}")),
+                )
+            },
+        );
+        rounds_until_done(
+            Scenario::new(n)
+                .algorithm(|v: NodeId| DColor::new(v, ColorOutput::Undecided))
+                .adversary(FlipChurnAdversary::new(&footprint, churn, 100 + seed))
+                .seed(seed)
+                .rounds(400),
+            |o: &ColorOutput| o.is_decided(),
+        ) as f64
+    });
+    let groups = per_point(&spec, run.results(), seeds.len(), |&(p, n, _)| (p, n));
     let mut table = Table::new(
         "E2 — DColor (Algorithm 2): rounds until all nodes colored under per-edge flip churn",
         &["churn p", "n", "mean rounds", "max rounds", "mean/log2(n)"],
     );
-    for (k, s) in &grouped.groups {
-        table.push_row(scaling_row(format!("{}", k.0), k.1, s));
+    for ((p, n), s) in &groups {
+        table.push_row(scaling_row(format!("{p}"), *n, s));
     }
     vec![
         table,
-        fit_table(
-            "E2 — O(log n) shape check",
-            "churn p",
-            &grouped.groups,
-            |&p| format!("{p}"),
-        ),
+        fit_table("E2 — O(log n) shape check", "churn p", &groups, |&p| {
+            format!("{p}")
+        }),
     ]
 }
 
@@ -245,88 +244,86 @@ pub fn e3_dcolor_progress(ctx: &ExpContext) -> Vec<Table> {
     let spec = SweepSpec::grid1("e3", graphs, |&(name, avg_deg)| {
         (format!("{name} n={n}"), (name, avg_deg))
     });
-    ctx.aggregate(
-        &spec,
-        |cell| {
-            let (_, avg_deg) = cell.params;
-            let g = generators::shared_footprint(
-                &generators::GraphFamily::ErdosRenyi {
-                    avg_degree: avg_deg,
-                },
-                n,
-                1,
-                "e3",
-                || generators::erdos_renyi_avg_degree(n, avg_deg, &mut experiment_rng(1, "e3")),
-            );
-            let mut runner = Scenario::new(n)
-                .algorithm(|v: NodeId| DColor::new(v, ColorOutput::Undecided))
-                .adversary(StaticAdversary::new((*g).clone()))
-                .seed(3)
-                .rounds(rounds)
-                .runner();
-            let mut c = ProgressCounts::default();
-            let mut prev_state: Vec<Option<(bool, usize)>> = vec![None; n]; // (colored, palette size)
-            while runner.step(&mut []) {
-                #[allow(clippy::needless_range_loop)]
-                for i in 0..n {
-                    let node = runner.sim().node(NodeId::new(i)).unwrap();
-                    let colored_now = node.output().is_decided();
-                    let palette_now = node.palette().len();
-                    if let Some((was_colored, old_palette)) = prev_state[i] {
-                        if !was_colored && old_palette > 0 {
-                            c.observed += 1;
-                            let shrank = palette_now as f64 <= 0.75 * old_palette as f64;
+    let run = ctx.run(&spec, |cell| {
+        let (_, avg_deg) = cell.params;
+        let g = generators::shared_footprint(
+            &generators::GraphFamily::ErdosRenyi {
+                avg_degree: avg_deg,
+            },
+            n,
+            1,
+            "e3",
+            || generators::erdos_renyi_avg_degree(n, avg_deg, &mut experiment_rng(1, "e3")),
+        );
+        let mut runner = Scenario::new(n)
+            .algorithm(|v: NodeId| DColor::new(v, ColorOutput::Undecided))
+            .adversary(StaticAdversary::new((*g).clone()))
+            .seed(3)
+            .rounds(rounds)
+            .runner();
+        let mut c = ProgressCounts::default();
+        let mut prev_state: Vec<Option<(bool, usize)>> = vec![None; n]; // (colored, palette size)
+        while runner.step(&mut []) {
+            #[allow(clippy::needless_range_loop)]
+            for i in 0..n {
+                let node = runner.sim().node(NodeId::new(i)).unwrap();
+                let colored_now = node.output().is_decided();
+                let palette_now = node.palette().len();
+                if let Some((was_colored, old_palette)) = prev_state[i] {
+                    if !was_colored && old_palette > 0 {
+                        c.observed += 1;
+                        let shrank = palette_now as f64 <= 0.75 * old_palette as f64;
+                        if colored_now {
+                            c.colored_events += 1;
+                        }
+                        if shrank {
+                            c.shrink_events += 1;
+                        } else {
+                            c.no_shrink += 1;
                             if colored_now {
-                                c.colored_events += 1;
-                            }
-                            if shrank {
-                                c.shrink_events += 1;
-                            } else {
-                                c.no_shrink += 1;
-                                if colored_now {
-                                    c.colored_given_no_shrink += 1;
-                                }
+                                c.colored_given_no_shrink += 1;
                             }
                         }
                     }
-                    prev_state[i] = Some((colored_now, palette_now));
                 }
+                prev_state[i] = Some((colored_now, palette_now));
             }
-            c
-        },
-        CellRows::new(
-            "E3 — DColor per-round progress events (Lemma 4.3)",
-            &[
-                "graph",
-                "node-rounds observed",
-                "colored",
-                "palette shrank ≥1/4",
-                "P(colored | no big shrink)",
-                "claimed lower bound",
-            ],
-            |cell: &Cell<(&str, f64)>, c: ProgressCounts| {
-                let p_cond = if c.no_shrink > 0 {
-                    c.colored_given_no_shrink as f64 / c.no_shrink as f64
-                } else {
-                    1.0
-                };
-                vec![vec![
-                    cell.params.0.to_string(),
-                    c.observed.to_string(),
-                    format!(
-                        "{:.1}%",
-                        100.0 * c.colored_events as f64 / c.observed.max(1) as f64
-                    ),
-                    format!(
-                        "{:.1}%",
-                        100.0 * c.shrink_events as f64 / c.observed.max(1) as f64
-                    ),
-                    format!("{:.3}", p_cond),
-                    "0.016 (= 1/64)".to_string(),
-                ]]
-            },
-        ),
-    )
+        }
+        c
+    });
+    let mut table = Table::new(
+        "E3 — DColor per-round progress events (Lemma 4.3)",
+        &[
+            "graph",
+            "node-rounds observed",
+            "colored",
+            "palette shrank ≥1/4",
+            "P(colored | no big shrink)",
+            "claimed lower bound",
+        ],
+    );
+    for (cell, c) in spec.cells().iter().zip(run.results()) {
+        let p_cond = if c.no_shrink > 0 {
+            c.colored_given_no_shrink as f64 / c.no_shrink as f64
+        } else {
+            1.0
+        };
+        table.push_row(vec![
+            cell.params.0.to_string(),
+            c.observed.to_string(),
+            format!(
+                "{:.1}%",
+                100.0 * c.colored_events as f64 / c.observed.max(1) as f64
+            ),
+            format!(
+                "{:.1}%",
+                100.0 * c.shrink_events as f64 / c.observed.max(1) as f64
+            ),
+            format!("{:.3}", p_cond),
+            "0.016 (= 1/64)".to_string(),
+        ]);
+    }
+    vec![table]
 }
 
 /// Streaming probe for the E6 decay measurement: maintains the running
@@ -388,49 +385,43 @@ pub fn e6_dmis_scaling_and_decay(ctx: &ExpContext) -> Vec<Table> {
     let spec = SweepSpec::grid3("e6", churns, n_axis, &seeds, |&churn, &n, &seed| {
         (format!("p={churn} n={n} seed={seed}"), (churn, n, seed))
     });
-    let grouped = ctx.run_grouped(
-        &spec,
-        |cell| {
-            let (churn, n, seed) = cell.params;
-            let footprint = generators::shared_footprint(
-                &generators::GraphFamily::ErdosRenyi { avg_degree: 10.0 },
-                n,
-                seed,
-                "e6",
-                || {
-                    generators::erdos_renyi_avg_degree(
-                        n,
-                        10.0,
-                        &mut experiment_rng(seed, &format!("e6-{n}")),
-                    )
-                },
-            );
-            rounds_until_done(
-                Scenario::new(n)
-                    .algorithm(|v: NodeId| DMis::new(v, MisOutput::Undecided))
-                    .adversary(FlipChurnAdversary::new(&footprint, churn, 200 + seed))
-                    .seed(seed)
-                    .rounds(400),
-                |o: &MisOutput| o.is_decided(),
-            ) as f64
-        },
-        |c: &Cell<(f64, usize, u64)>| (c.params.0, c.params.1),
-        |k: &(f64, usize), _cells: &[Cell<(f64, usize, u64)>], results: Vec<f64>| {
-            (*k, Summary::of(&results))
-        },
-    );
+    let run = ctx.run(&spec, |cell| {
+        let (churn, n, seed) = cell.params;
+        let footprint = generators::shared_footprint(
+            &generators::GraphFamily::ErdosRenyi { avg_degree: 10.0 },
+            n,
+            seed,
+            "e6",
+            || {
+                generators::erdos_renyi_avg_degree(
+                    n,
+                    10.0,
+                    &mut experiment_rng(seed, &format!("e6-{n}")),
+                )
+            },
+        );
+        rounds_until_done(
+            Scenario::new(n)
+                .algorithm(|v: NodeId| DMis::new(v, MisOutput::Undecided))
+                .adversary(FlipChurnAdversary::new(&footprint, churn, 200 + seed))
+                .seed(seed)
+                .rounds(400),
+            |o: &MisOutput| o.is_decided(),
+        ) as f64
+    });
+    let groups = per_point(&spec, run.results(), seeds.len(), |&(p, n, _)| (p, n));
     let mut scaling = Table::new(
         "E6 — DMis (Algorithm 4): rounds until all nodes decided",
         &["churn p", "n", "mean rounds", "max rounds", "mean/log2(n)"],
     );
-    for (k, s) in &grouped.groups {
-        scaling.push_row(scaling_row(format!("{}", k.0), k.1, s));
+    for ((p, n), s) in &groups {
+        scaling.push_row(scaling_row(format!("{p}"), *n, s));
     }
     let mut tables = vec![scaling];
     tables.push(fit_table(
         "E6 — O(log n) shape check",
         "churn p",
-        &grouped.groups,
+        &groups,
         |&p| format!("{p}"),
     ));
 
@@ -442,63 +433,60 @@ pub fn e6_dmis_scaling_and_decay(ctx: &ExpContext) -> Vec<Table> {
     let decay_spec = SweepSpec::grid1("e6-decay", &[0.0f64, 0.05], |&churn| {
         (format!("decay p={churn}"), churn)
     });
-    let mut decay_tables = ctx.aggregate(
-        &decay_spec,
-        |cell| {
-            let churn = cell.params;
-            let footprint = generators::shared_footprint(
-                &generators::GraphFamily::ErdosRenyi { avg_degree: 12.0 },
-                decay_n,
-                7,
-                "e6-decay",
-                || {
-                    generators::erdos_renyi_avg_degree(
-                        decay_n,
-                        12.0,
-                        &mut experiment_rng(7, "e6-decay"),
-                    )
-                },
-            );
-            let mut probe = DecayProbe {
-                intersection: None,
-                series: Series::new("undecided-edges"),
-                done: false,
-            };
-            let mut runner = Scenario::new(decay_n)
-                .algorithm(|v: NodeId| DMis::new(v, MisOutput::Undecided))
-                .adversary(FlipChurnAdversary::new(&footprint, churn, 303))
-                .seed(5)
-                .rounds(decay_rounds)
-                .runner();
-            while runner.step(&mut [&mut probe]) {
-                if probe.done {
-                    break;
-                }
-            }
-            probe.series.decay_ratios(2)
-        },
-        CellRows::new(
-            "E6 — Undecided-edge decay per 2 rounds (Lemma 5.2: expected factor ≤ 2/3)",
-            &[
-                "graph",
-                "churn p",
-                "mean decay factor",
-                "p95 decay factor",
-                "samples",
-            ],
-            |cell: &Cell<f64>, ratios: Vec<f64>| {
-                let s = Summary::of(&ratios);
-                vec![vec![
-                    format!("ER d̄=12, n={decay_n}"),
-                    format!("{}", cell.params),
-                    fmt2(s.mean),
-                    fmt2(s.p95),
-                    s.count.to_string(),
-                ]]
+    let decay = ctx.run(&decay_spec, |cell| {
+        let churn = cell.params;
+        let footprint = generators::shared_footprint(
+            &generators::GraphFamily::ErdosRenyi { avg_degree: 12.0 },
+            decay_n,
+            7,
+            "e6-decay",
+            || {
+                generators::erdos_renyi_avg_degree(
+                    decay_n,
+                    12.0,
+                    &mut experiment_rng(7, "e6-decay"),
+                )
             },
-        ),
+        );
+        let mut probe = DecayProbe {
+            intersection: None,
+            series: Series::new("undecided-edges"),
+            done: false,
+        };
+        let mut runner = Scenario::new(decay_n)
+            .algorithm(|v: NodeId| DMis::new(v, MisOutput::Undecided))
+            .adversary(FlipChurnAdversary::new(&footprint, churn, 303))
+            .seed(5)
+            .rounds(decay_rounds)
+            .runner();
+        while runner.step(&mut [&mut probe]) {
+            if probe.done {
+                break;
+            }
+        }
+        probe.series.decay_ratios(2)
+    });
+    let mut decay_table = Table::new(
+        "E6 — Undecided-edge decay per 2 rounds (Lemma 5.2: expected factor ≤ 2/3)",
+        &[
+            "graph",
+            "churn p",
+            "mean decay factor",
+            "p95 decay factor",
+            "samples",
+        ],
     );
-    tables.append(&mut decay_tables);
+    for (cell, ratios) in decay_spec.cells().iter().zip(decay.results()) {
+        let s = Summary::of(ratios);
+        decay_table.push_row(vec![
+            format!("ER d̄=12, n={decay_n}"),
+            format!("{}", cell.params),
+            fmt2(s.mean),
+            fmt2(s.p95),
+            s.count.to_string(),
+        ]);
+    }
+    tables.push(decay_table);
     tables
 }
 
@@ -515,40 +503,36 @@ pub fn e7_smis_scaling(ctx: &ExpContext) -> Vec<Table> {
     let spec = SweepSpec::grid2("e7", n_axis, &seeds, |&n, &seed| {
         (format!("n={n} seed={seed}"), (n, seed))
     });
-    let grouped = ctx.run_grouped(
-        &spec,
-        |cell| {
-            let (n, seed) = cell.params;
-            let g = generators::shared_footprint(
-                &generators::GraphFamily::ErdosRenyi { avg_degree: 10.0 },
-                n,
-                seed,
-                "e7",
-                || {
-                    generators::erdos_renyi_avg_degree(
-                        n,
-                        10.0,
-                        &mut experiment_rng(seed, &format!("e7-{n}")),
-                    )
-                },
-            );
-            rounds_until_done(
-                Scenario::new(n)
-                    .algorithm(move |v: NodeId| SMis::new(v, n))
-                    .adversary(StaticAdversary::new((*g).clone()))
-                    .seed(seed)
-                    .rounds(600),
-                |o: &MisOutput| o.is_decided(),
-            ) as f64
-        },
-        |c: &Cell<(usize, u64)>| c.params.0,
-        |&n: &usize, _cells: &[Cell<(usize, u64)>], results: Vec<f64>| (n, Summary::of(&results)),
-    );
+    let run = ctx.run(&spec, |cell| {
+        let (n, seed) = cell.params;
+        let g = generators::shared_footprint(
+            &generators::GraphFamily::ErdosRenyi { avg_degree: 10.0 },
+            n,
+            seed,
+            "e7",
+            || {
+                generators::erdos_renyi_avg_degree(
+                    n,
+                    10.0,
+                    &mut experiment_rng(seed, &format!("e7-{n}")),
+                )
+            },
+        );
+        rounds_until_done(
+            Scenario::new(n)
+                .algorithm(move |v: NodeId| SMis::new(v, n))
+                .adversary(StaticAdversary::new((*g).clone()))
+                .seed(seed)
+                .rounds(600),
+            |o: &MisOutput| o.is_decided(),
+        ) as f64
+    });
+    let groups = per_point(&spec, run.results(), seeds.len(), |&(n, _)| n);
     let mut scaling = Table::new(
         "E7 — SMis (Algorithm 5): rounds until all nodes decided (static graphs)",
         &["n", "mean rounds", "max rounds", "mean/log2(n)"],
     );
-    for (n, s) in &grouped.groups {
+    for (n, s) in &groups {
         scaling.push_row(vec![
             n.to_string(),
             fmt2(s.mean),
@@ -558,7 +542,7 @@ pub fn e7_smis_scaling(ctx: &ExpContext) -> Vec<Table> {
     }
     let mut tables = vec![scaling];
     let mut fits = Table::new("E7 — O(log n) shape check", &["fit", "R²"]);
-    let points: Vec<(usize, f64)> = grouped.groups.iter().map(|(n, s)| (*n, s.mean)).collect();
+    let points: Vec<(usize, f64)> = groups.iter().map(|(n, s)| (*n, s.mean)).collect();
     if let Some(fit) = log_fit(&points) {
         fits.push_row(vec![
             format!("{:.2} + {:.2}·log2(n)", fit.intercept, fit.slope),

@@ -8,9 +8,9 @@
 //! ## Declaring an experiment as a sweep
 //!
 //! Every multi-scenario experiment declares its grid as a
-//! [`dynnet::sweep::SweepSpec`] and executes it on the harness-wide
-//! [`dynnet::sweep::SweepEngine`] (the `--threads` flag of the `experiments`
-//! binary). The pattern is:
+//! [`dynnet::sweep::SweepSpec`] and executes it through [`ExpContext::run`]
+//! on the harness-wide [`dynnet::sweep::SweepEngine`] (the `--threads` flag
+//! of the `experiments` binary). The pattern is:
 //!
 //! 1. **Declare the grid** with `SweepSpec::grid1/2/3` — axes in row-major
 //!    order, the innermost axis being the one later summarized over (seeds).
@@ -20,26 +20,28 @@
 //! 2. **Run one scenario per cell**: the cell closure builds the footprint
 //!    graph, adversary, observers, and `Scenario` *from the cell's params
 //!    alone* (deterministic per-(seed, node, round) RNG), runs it, and
-//!    returns plain data. Cells execute concurrently on the engine's
-//!    work-stealing shards; results come back keyed by grid index.
-//! 3. **Aggregate in grid order** with a [`dynnet::sweep::Aggregator`] —
-//!    [`dynnet::sweep::CellRows`] for one-row-per-cell tables,
-//!    [`dynnet::sweep::GroupedSummary`] for mean/max-over-seeds rows (its
-//!    `groups()` feed the `O(log n)` shape fits).
+//!    returns plain data that implements [`dynnet::sweep::CellValue`]. Cells
+//!    execute concurrently on the engine's work-stealing shards; under
+//!    `--checkpoint-dir` each finished cell is persisted, and `--resume`
+//!    skips the cells already on disk.
+//! 3. **Build the tables in grid order** by walking `spec.cells()` zipped
+//!    with `run.results()`. Seed-ensemble experiments summarize
+//!    `run.results().chunks(seeds.len())`: seeds are the innermost axis, so
+//!    each chunk is one grid point's seeds, and the chunk means feed the
+//!    `O(log n)` shape fits.
 //!
-//! Because cells are self-contained and aggregation is keyed by grid
-//! coordinates, the emitted tables are byte-identical for any thread count.
-//! Timing experiments (E14) run on [`ExpContext::serial_engine`] so sibling
-//! cells cannot distort their wall-clock measurements.
+//! Because cells are self-contained and results are keyed by grid index,
+//! the emitted tables are byte-identical for any thread count and for a
+//! resumed run. Timing experiments (E14) run on
+//! [`ExpContext::serial_engine`] so sibling cells cannot distort their
+//! wall-clock measurements.
 
 pub mod comparisons;
 pub mod convergence;
 pub mod guarantees;
 
 use dynnet::metrics::Table;
-use dynnet::sweep::{
-    Aggregator, Cell, CellValue, CheckpointStore, GroupedRun, SweepEngine, SweepRun, SweepSpec,
-};
+use dynnet::sweep::{Cell, CellValue, CheckpointStore, SweepEngine, SweepRun, SweepSpec};
 use std::path::PathBuf;
 
 /// Harness-wide execution context handed to every experiment.
@@ -50,8 +52,8 @@ pub struct ExpContext {
     /// finishes in seconds while still exercising every code path.
     pub smoke: bool,
     /// Durable per-cell checkpointing: when set (`--checkpoint-dir`), every
-    /// checkpointable sweep persists each finished cell under
-    /// `<dir>/<spec-name>/` so a killed run can resume.
+    /// sweep run through [`ExpContext::run`] persists each finished cell
+    /// under `<dir>/<spec-name>/` so a killed run can resume.
     pub checkpoint_dir: Option<PathBuf>,
     /// Resume mode (`--resume`): reuse completed cells found in the
     /// checkpoint directory instead of starting fresh.
@@ -75,74 +77,26 @@ impl ExpContext {
         self.engine.serial()
     }
 
-    /// The checkpoint store for a sweep, when `--checkpoint-dir` is set:
-    /// each spec gets its own subdirectory, created fresh or resumed per
-    /// `--resume`.
-    fn store(&self, spec_name: &str) -> Option<CheckpointStore> {
-        let dir = self.checkpoint_dir.as_ref()?.join(spec_name);
-        let store = if self.resume {
-            CheckpointStore::resume(dir)
-        } else {
-            CheckpointStore::create(dir)
-        };
-        Some(store.unwrap_or_else(|e| panic!("checkpoint store for {spec_name}: {e}")))
-    }
-
-    /// Runs a sweep, checkpointing each finished cell when
-    /// `--checkpoint-dir` is set (and skipping cells already completed when
-    /// resuming). Falls back to a plain in-memory run otherwise; results
-    /// are identical either way.
+    /// Runs a sweep. With `--checkpoint-dir` set, each finished cell is
+    /// persisted under `<dir>/<spec-name>/` (a fresh store, or the existing
+    /// one under `--resume`, whose completed cells are loaded instead of
+    /// re-run). Results are identical either way.
     pub fn run<P, R, F>(&self, spec: &SweepSpec<P>, run_cell: F) -> SweepRun<R>
     where
         P: Sync,
         R: Send + CellValue,
         F: Fn(&Cell<P>) -> R + Sync,
     {
-        let run = match self.store(spec.name()) {
-            Some(store) => self.engine.run_checkpointed(spec, &store, run_cell),
+        let name = spec.name();
+        let run = match &self.checkpoint_dir {
+            Some(dir) => {
+                let store = CheckpointStore::open(dir.join(name), self.resume)
+                    .unwrap_or_else(|e| panic!("checkpoint store for {name}: {e}"));
+                self.engine.run_checkpointed(spec, &store, run_cell)
+            }
             None => self.engine.run(spec, run_cell),
         };
-        run.unwrap_or_else(|e| panic!("{} sweep: {e}", spec.name()))
-    }
-
-    /// Checkpointable version of [`SweepEngine::aggregate`]: runs the sweep
-    /// through [`ExpContext::run`] and folds the results in grid order.
-    pub fn aggregate<P, R, F, A>(&self, spec: &SweepSpec<P>, run_cell: F, agg: A) -> Vec<Table>
-    where
-        P: Sync,
-        R: Send + CellValue,
-        F: Fn(&Cell<P>) -> R + Sync,
-        A: Aggregator<P, R>,
-    {
-        let run = self.run(spec, run_cell);
-        let mut agg = dynnet::sweep::fold(spec, run, agg);
-        agg.finish()
-    }
-
-    /// Streaming grouped sweep (checkpointed when `--checkpoint-dir` is
-    /// set): each group of consecutive same-key cells is folded as soon as
-    /// its last cell lands, so only in-flight groups are buffered — the
-    /// bounded-memory path for large seed-ensemble grids.
-    pub fn run_grouped<P, R, K, G, F, FK, FG>(
-        &self,
-        spec: &SweepSpec<P>,
-        run_cell: F,
-        group_of: FK,
-        fold_group: FG,
-    ) -> GroupedRun<G>
-    where
-        P: Sync,
-        R: Send + CellValue,
-        K: PartialEq + Sync,
-        G: Send,
-        F: Fn(&Cell<P>) -> R + Sync,
-        FK: Fn(&Cell<P>) -> K + Sync,
-        FG: Fn(&K, &[Cell<P>], Vec<R>) -> G + Sync,
-    {
-        let store = self.store(spec.name());
-        self.engine
-            .run_grouped(spec, store.as_ref(), run_cell, group_of, fold_group)
-            .unwrap_or_else(|e| panic!("{} sweep: {e}", spec.name()))
+        run.unwrap_or_else(|e| panic!("{name} sweep: {e}"))
     }
 }
 

@@ -118,11 +118,6 @@ where
     pub fn static_output(&self) -> S::Output {
         self.salg.output()
     }
-
-    /// Immutable access to the SAlg instance (for inspection in tests).
-    pub fn static_algorithm(&self) -> &S {
-        &self.salg
-    }
 }
 
 impl<S, D, DF> NodeAlgorithm for Concat<S, D, DF>

@@ -567,11 +567,6 @@ impl<P: DynamicProblem> TDynamicVerifier<P> {
         summary.invalid_rounds.push(r);
     }
 
-    /// Number of rounds observed so far.
-    pub fn rounds_observed(&self) -> usize {
-        self.round
-    }
-
     /// The verification summary accumulated so far.
     pub fn summary(&self) -> &VerificationSummary {
         &self.summary

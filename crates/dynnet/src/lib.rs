@@ -86,12 +86,12 @@ pub mod prelude {
     pub use dynnet_obs::{MetricSource, ProgressSink, Snapshot};
     pub use dynnet_runtime::{
         AllAtStart, ChurnStats, ConvergenceTracker, DeltaLogRecorder, DeltaStats, MetricsObserver,
-        NodeAlgorithm, ObserverFactory, RandomWakeup, RoundObserver, RoundView, SimConfig,
-        Simulator, Staggered, TraceRecorder, WakeupSchedule,
+        NodeAlgorithm, RandomWakeup, RoundObserver, RoundView, SimConfig, Simulator, Staggered,
+        TraceRecorder, WakeupSchedule,
     };
     pub use dynnet_sweep::{
-        run_observed, Aggregator, Cell, CellRows, CellValue, CheckpointStore, GroupedRun,
-        GroupedSummary, KillSwitch, SweepEngine, SweepError, SweepReport, SweepRun, SweepSpec,
+        Cell, CellValue, CheckpointStore, KillSwitch, SweepEngine, SweepError, SweepReport,
+        SweepRun, SweepSpec,
     };
 }
 

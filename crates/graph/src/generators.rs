@@ -326,14 +326,6 @@ impl Drop for FootprintScope {
     }
 }
 
-/// Number of footprints currently cached (scoped and unscoped).
-pub fn footprint_cache_len() -> usize {
-    footprint_cache()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .len()
-}
-
 /// Number of cached footprints owned by live [`FootprintScope`]s.
 pub fn footprint_cache_scoped_len() -> usize {
     footprint_cache()

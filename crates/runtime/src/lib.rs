@@ -42,8 +42,8 @@ pub mod wakeup;
 
 pub use algorithm::{AlgorithmFactory, Incoming, NodeAlgorithm, NodeContext};
 pub use observer::{
-    ChurnStats, ConvergenceTracker, DeltaLogRecorder, MetricsObserver, ObserverFactory,
-    RoundObserver, RoundView, TraceRecorder,
+    ChurnStats, ConvergenceTracker, DeltaLogRecorder, MetricsObserver, RoundObserver, RoundView,
+    TraceRecorder,
 };
 pub use simulator::{DeltaStats, SimConfig, Simulator, StepSummary};
 pub use wakeup::{AllAtStart, RandomWakeup, ScriptedWakeup, Staggered, WakeupSchedule};

@@ -91,53 +91,6 @@ pub trait RoundObserver<O> {
     fn finish(&mut self) {}
 }
 
-/// Observer pairs observe jointly: each round is streamed to both elements
-/// in order. Nest pairs for larger sets. This lets sweep cells hand a whole
-/// observer set to a factory-based runner as one value.
-impl<O, A: RoundObserver<O>, B: RoundObserver<O>> RoundObserver<O> for (A, B) {
-    fn on_round(&mut self, view: &RoundView<'_, O>) {
-        self.0.on_round(view);
-        self.1.on_round(view);
-    }
-
-    fn finish(&mut self) {
-        self.0.finish();
-        self.1.finish();
-    }
-}
-
-/// Builds a fresh observer for each scenario of a multi-scenario sweep.
-///
-/// A sweep executes many scenarios concurrently; observers are stateful and
-/// cannot be shared across them, so the sweep engine takes a factory and
-/// constructs one observer per scenario on the worker thread that runs it.
-/// Blanket-implemented for `Fn() -> Obs` closures:
-///
-/// ```
-/// use dynnet_runtime::observer::{ChurnStats, ObserverFactory};
-/// let factory = || ChurnStats::<u32>::new();
-/// let _fresh = factory.create();
-/// ```
-pub trait ObserverFactory<O>: Sync {
-    /// The observer type this factory builds.
-    type Observer: RoundObserver<O> + Send;
-
-    /// Creates a fresh observer (called once per scenario).
-    fn create(&self) -> Self::Observer;
-}
-
-impl<O, Obs, F> ObserverFactory<O> for F
-where
-    Obs: RoundObserver<O> + Send,
-    F: Fn() -> Obs + Sync,
-{
-    type Observer = Obs;
-
-    fn create(&self) -> Obs {
-        self()
-    }
-}
-
 /// Records the dynamic graph sequence of an execution (the effective graphs
 /// `G_r`, stored as per-round deltas, so memory is proportional to topology
 /// change) and, unless constructed with [`TraceRecorder::graphs_only`], one

@@ -28,7 +28,7 @@
 //! shard-local inbox scratch vector, so the hot loops stream linearly and
 //! parallel shards never bounce cache lines. Work distribution and the
 //! budget-aware parallel threshold are described on
-//! [`SimConfig::budget_aware_threshold`].
+//! [`SimConfig::parallel_threshold`].
 //!
 //! Two round entry points exist: [`Simulator::step_streaming`] takes the
 //! whole graph and rebuilds the effective (awake-restricted) CSR snapshot
@@ -55,21 +55,17 @@ pub struct SimConfig {
     pub parallel: bool,
     /// Minimum number of awake nodes before the parallel path is used
     /// (below this the sequential path is faster).
-    pub parallel_threshold: usize,
-    /// Scale [`SimConfig::parallel_threshold`] by the thread-budget pressure
-    /// (default `true`).
     ///
-    /// Per-round parallel setup (chunk planning, pool wakeups, the atomic
-    /// ticket) amortizes over the threads a call actually fans out to.
-    /// When an outer scheduler — e.g. a sharded sweep — has claimed part of
-    /// the budget via `rayon::claim_threads`, the effective width
-    /// (`budget / claimed`) shrinks and the same `parallel_threshold` would
-    /// let cells pay full setup for a fraction of the fan-out. With this
-    /// flag set, the threshold is multiplied by `budget / effective_width`,
+    /// The threshold scales with thread-budget pressure. Per-round parallel
+    /// setup (chunk planning, pool wakeups, the atomic ticket) amortizes
+    /// over the threads a call actually fans out to. When an outer
+    /// scheduler — e.g. a sharded sweep — has claimed part of the budget
+    /// via `rayon::claim_threads`, the effective width (`budget / claimed`)
+    /// shrinks, so the threshold is multiplied by `budget / effective_width`,
     /// and a width of 1 (budget fully claimed, or a single-core budget)
     /// skips the parallel path outright. Purely a scheduling decision:
     /// results are bit-identical either way.
-    pub budget_aware_threshold: bool,
+    pub parallel_threshold: usize,
 }
 
 impl Default for SimConfig {
@@ -78,7 +74,6 @@ impl Default for SimConfig {
             seed: 0,
             parallel: false,
             parallel_threshold: 512,
-            budget_aware_threshold: true,
         }
     }
 }
@@ -508,17 +503,13 @@ where
 
     /// Whether this round's phases run on the pool. Purely a scheduling
     /// decision — sequential and parallel execution are bit-identical — so
-    /// it may consult the live thread-budget state: with
-    /// [`SimConfig::budget_aware_threshold`] the awake-node threshold scales
-    /// with `budget / effective_width`, and an effective width of 1 (budget
-    /// fully claimed, or a single-core budget) skips parallel setup that
-    /// could never be amortized.
+    /// it may consult the live thread-budget state: the awake-node threshold
+    /// scales with `budget / effective_width`, and an effective width of 1
+    /// (budget fully claimed, or a single-core budget) skips parallel setup
+    /// that could never be amortized.
     fn use_parallel(&self, awake: usize) -> bool {
         if !self.config.parallel {
             return false;
-        }
-        if !self.config.budget_aware_threshold {
-            return awake >= self.config.parallel_threshold;
         }
         let width = rayon::effective_width();
         if width <= 1 {
@@ -775,7 +766,6 @@ mod tests {
                 seed: 9,
                 parallel: false,
                 parallel_threshold: 0,
-                ..SimConfig::default()
             },
         );
         let mut par = Simulator::new(
@@ -786,7 +776,6 @@ mod tests {
                 seed: 9,
                 parallel: true,
                 parallel_threshold: 0,
-                ..SimConfig::default()
             },
         );
         for _ in 0..5 {

@@ -345,9 +345,11 @@ pub fn decode_cell_value<R: CellValue>(bytes: &[u8]) -> Result<R, CodecError> {
 // ---------------------------------------------------------------------------
 
 /// Name of the environment variable that arms the process-exit kill hook:
-/// when set to `N`, the store calls `std::process::exit(42)` right after
-/// the `N`-th cell of this process persists — a true crash for the CI
-/// resume-smoke test (nothing unwinds, no destructor runs).
+/// when set to `N`, a store calls `std::process::exit(42)` right after it
+/// has persisted its `N`-th cell — a true crash for the CI resume-smoke
+/// test (nothing unwinds, no destructor runs). The count is per store, so
+/// in a multi-sweep run it fires inside the first sweep that persists `N`
+/// cells.
 pub const KILL_ENV: &str = "DYNNET_KILL_AFTER_CELLS";
 
 /// Exit code of the environment kill hook.
@@ -387,16 +389,6 @@ impl KillSwitch {
 // ---------------------------------------------------------------------------
 // The store
 // ---------------------------------------------------------------------------
-
-/// Summary of what a [`CheckpointStore`] loaded for a spec.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LoadSummary {
-    /// Cells loaded from the checkpoint (skipped by the engine).
-    pub loaded: usize,
-    /// Cells listed in the manifest but discarded (bad checksum, bad
-    /// index, undecodable payload) — these are recomputed.
-    pub recomputed: usize,
-}
 
 struct ManifestState {
     file: Option<File>,
@@ -514,13 +506,15 @@ impl CheckpointStore {
     /// Loads (and verifies) the completed cells recorded for `spec`,
     /// returning one slot per grid cell, and leaves the manifest open for
     /// appending the cells the engine is about to run. Called once per
-    /// checkpointed run by the engine.
+    /// checkpointed run by the engine. Loaded cells count toward
+    /// `store.cells_skipped`, discarded ones (bad checksum, bad index,
+    /// undecodable payload) toward `store.cells_recomputed`.
     pub(crate) fn load<R: CellValue, P>(
         &self,
         spec: &SweepSpec<P>,
-    ) -> Result<(Vec<Option<R>>, LoadSummary), StoreError> {
+    ) -> Result<Vec<Option<R>>, StoreError> {
         let mut slots: Vec<Option<R>> = (0..spec.len()).map(|_| None).collect();
-        let mut summary = LoadSummary::default();
+        let (mut loaded, mut recomputed) = (0u64, 0u64);
         let manifest_path = self.manifest_path();
         let mut valid_lines: Vec<String> = Vec::new();
         if self.resume {
@@ -551,10 +545,10 @@ impl CheckpointStore {
                             match self.load_cell::<R>(index, checksum) {
                                 Some(value) => {
                                     slots[index] = Some(value);
-                                    summary.loaded += 1;
+                                    loaded += 1;
                                     valid_lines.push(line.to_string());
                                 }
-                                None => summary.recomputed += 1,
+                                None => recomputed += 1,
                             }
                         }
                     }
@@ -583,11 +577,9 @@ impl CheckpointStore {
             .map_err(|e| io_err(&manifest_path, e))?;
         lock_recover(&self.manifest).file = Some(file);
         let reg = dynnet_obs::registry();
-        reg.counter("store.cells_skipped")
-            .add(summary.loaded as u64);
-        reg.counter("store.cells_recomputed")
-            .add(summary.recomputed as u64);
-        Ok((slots, summary))
+        reg.counter("store.cells_skipped").add(loaded);
+        reg.counter("store.cells_recomputed").add(recomputed);
+        Ok(slots)
     }
 
     /// Verifies and decodes one checkpointed cell; any mismatch (missing
@@ -718,7 +710,7 @@ impl SweepEngine {
         R: Send + CellValue,
         F: Fn(&Cell<P>) -> R + Sync,
     {
-        let (loaded, _summary) = store
+        let loaded = store
             .load::<R, P>(spec)
             .map_err(|e| store_sweep_error(spec, e))?;
         let pending: Vec<usize> = loaded
@@ -749,23 +741,6 @@ impl SweepEngine {
                 .unwrap_or_else(std::sync::PoisonError::into_inner),
         )?;
         Ok(SweepRun::from_parts(results, report))
-    }
-
-    /// Convenience wrapper: resumes (or starts) the checkpoint at `dir`
-    /// and runs `spec` through it.
-    pub fn resume_from<P, R, F>(
-        &self,
-        spec: &SweepSpec<P>,
-        dir: impl Into<PathBuf>,
-        run_cell: F,
-    ) -> Result<SweepRun<R>, SweepError>
-    where
-        P: Sync,
-        R: Send + CellValue,
-        F: Fn(&Cell<P>) -> R + Sync,
-    {
-        let store = CheckpointStore::resume(dir).map_err(|e| store_sweep_error(spec, e))?;
-        self.run_checkpointed(spec, &store, run_cell)
     }
 }
 
@@ -901,8 +876,9 @@ mod tests {
         assert!(err.message.contains("kill switch"));
         assert_eq!(store.cells_persisted(), 5);
 
-        let resumed: SweepRun<u64> = engine
-            .resume_from(&spec, &dir, |c| c.params as u64)
+        let store = CheckpointStore::resume(&dir).unwrap();
+        let resumed = engine
+            .run_checkpointed(&spec, &store, |c| c.params as u64)
             .unwrap();
         assert_eq!(
             resumed.results(),
@@ -923,8 +899,9 @@ mod tests {
             .run_checkpointed(&spec, &store, |c| c.params as u64)
             .unwrap();
         let other = square_spec(5);
+        let store = CheckpointStore::resume(&dir).unwrap();
         let err = engine
-            .resume_from(&other, &dir, |c| c.params as u64)
+            .run_checkpointed(&other, &store, |c| c.params as u64)
             .expect_err("different grid must be rejected");
         assert!(err.message.contains("different sweep"));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -943,8 +920,9 @@ mod tests {
         let path = dir.join("manifest.tsv");
         let content = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &content[..content.len() - 3]).unwrap();
-        let resumed: SweepRun<u64> = engine
-            .resume_from(&spec, &dir, |c| c.params as u64)
+        let store = CheckpointStore::resume(&dir).unwrap();
+        let resumed = engine
+            .run_checkpointed(&spec, &store, |c| c.params as u64)
             .unwrap();
         assert_eq!(resumed.results().len(), 6);
         // The torn last cell re-ran.

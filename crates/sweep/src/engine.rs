@@ -283,11 +283,11 @@ impl SweepEngine {
         Ok(SweepRun { results, report })
     }
 
-    /// The shared execution core behind [`SweepEngine::run`], the
-    /// checkpointed runs, and the streaming grouped runs: executes the
-    /// `pending` cell indices of `spec` (work-stealing when this engine has
-    /// more than one thread) and hands each finished cell's result to
-    /// `consume` *on the worker that ran it*, in completion order.
+    /// The shared execution core behind [`SweepEngine::run`] and
+    /// [`SweepEngine::run_checkpointed`]: executes the `pending` cell indices
+    /// of `spec` (work-stealing when this engine has more than one thread)
+    /// and hands each finished cell's result to `consume` *on the worker
+    /// that ran it*, in completion order.
     ///
     /// `done_offset` counts cells already completed before this run (resumed
     /// sweeps), so progress reporting reflects the whole grid. A panic in

@@ -14,13 +14,16 @@
 //! * [`SweepEngine`] — a work-stealing thread pool that shards the cells
 //!   across workers, with per-shard progress/throughput reporting and
 //!   cancel-on-error (a panicking cell aborts the sweep and names the
-//!   failing grid coordinates).
-//! * [`Aggregator`] — folds per-scenario results into
-//!   [`dynnet_metrics::Table`]s in grid order, so sweep output is
-//!   byte-identical from 1 thread to N.
-//! * [`run_observed`] — per-scenario observer construction via
-//!   [`dynnet_runtime::ObserverFactory`]: each worker builds a fresh
-//!   observer for its scenario and hands it back keyed by grid index.
+//!   failing grid coordinates). It has two entry points:
+//!   [`SweepEngine::run`] keeps the results in memory, and
+//!   [`SweepEngine::run_checkpointed`] also persists every finished cell to
+//!   a [`CheckpointStore`], so a killed sweep resumes where it stopped
+//!   (open the store with [`CheckpointStore::resume`]).
+//!
+//! Both return a [`SweepRun`] whose results are indexed by grid position.
+//! Callers build their tables by walking [`SweepSpec::cells`] zipped with
+//! [`SweepRun::results`], so sweep output is byte-identical from 1 thread
+//! to N.
 //!
 //! Determinism: every cell derives its graphs and randomness from its own
 //! parameters through the per-(seed, node, round) RNG, so scenarios are
@@ -30,7 +33,7 @@
 //! this engine.
 //!
 //! ```
-//! use dynnet_sweep::{Cell, CellRows, SweepEngine, SweepSpec};
+//! use dynnet_sweep::{SweepEngine, SweepSpec};
 //!
 //! // A 2-axis grid: churn rate (outer) × seed (inner).
 //! let spec = SweepSpec::grid2(
@@ -39,112 +42,30 @@
 //!     &[0u64, 1, 2],
 //!     |&p, &seed| (format!("p={p} seed={seed}"), (p, seed)),
 //! );
-//! let tables = SweepEngine::new(8)
-//!     .aggregate(
-//!         &spec,
-//!         |cell| {
-//!             let (p, seed) = cell.params; // run a Scenario from (p, seed)…
-//!             (p * 100.0) as u64 + seed
-//!         },
-//!         CellRows::new("demo", &["cell", "result"], |cell: &Cell<(f64, u64)>, r: u64| {
-//!             vec![vec![cell.label.clone(), r.to_string()]]
-//!         }),
-//!     )
+//! let run = SweepEngine::new(8)
+//!     .run(&spec, |cell| {
+//!         let (p, seed) = cell.params; // run a Scenario from (p, seed)…
+//!         (p * 100.0) as u64 + seed
+//!     })
 //!     .unwrap();
-//! assert_eq!(tables[0].rows.len(), 6); // grid order, not completion order
+//! // Grid order, not completion order.
+//! let rows: Vec<String> = spec
+//!     .cells()
+//!     .iter()
+//!     .zip(run.results())
+//!     .map(|(cell, r)| format!("{},{r}", cell.label))
+//!     .collect();
+//! assert_eq!(rows[0], "p=0 seed=0,0");
+//! assert_eq!(rows[5], "p=0.05 seed=2,7");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod checkpoint;
 pub mod engine;
 pub mod spec;
-pub mod stream;
 
-pub use aggregate::{fold, Aggregator, CellRows, GroupedSummary};
-pub use checkpoint::{CellValue, CheckpointStore, KillSwitch, LoadSummary, StoreError};
+pub use checkpoint::{CellValue, CheckpointStore, KillSwitch, StoreError};
 pub use engine::{ShardStats, SweepEngine, SweepError, SweepReport, SweepRun};
 pub use spec::{Cell, SweepSpec};
-pub use stream::GroupedRun;
-
-use dynnet_runtime::ObserverFactory;
-
-/// Runs a sweep in which every cell drives one scenario against a freshly
-/// constructed observer, returning the observers in grid order.
-///
-/// `factory` builds one observer per scenario (on the worker thread that
-/// executes it); `drive` runs the cell's scenario, streaming rounds into the
-/// observer. This is the "per-scenario observer construction" entry point:
-/// the observer owns whatever the aggregation stage needs (churn series,
-/// verification summaries, probes).
-pub fn run_observed<P, O, FObs, FDrive>(
-    engine: &SweepEngine,
-    spec: &SweepSpec<P>,
-    factory: FObs,
-    drive: FDrive,
-) -> Result<SweepRun<FObs::Observer>, SweepError>
-where
-    P: Sync,
-    FObs: ObserverFactory<O>,
-    FDrive: Fn(&Cell<P>, &mut FObs::Observer) + Sync,
-{
-    engine.run(spec, |cell| {
-        let mut obs = factory.create();
-        drive(cell, &mut obs);
-        obs
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dynnet_adversary::{Scenario, StaticAdversary};
-    use dynnet_graph::{generators, NodeId};
-    use dynnet_runtime::observer::ChurnStats;
-    use dynnet_runtime::{Incoming, NodeAlgorithm, NodeContext};
-
-    #[derive(Clone)]
-    struct MaxFlood(u32);
-
-    impl NodeAlgorithm for MaxFlood {
-        type Msg = u32;
-        type Output = u32;
-        fn send(&mut self, _ctx: &mut NodeContext<'_>) -> u32 {
-            self.0
-        }
-        fn receive(&mut self, _ctx: &mut NodeContext<'_>, inbox: &[Incoming<u32>]) {
-            for (_, m) in inbox {
-                self.0 = self.0.max(*m);
-            }
-        }
-        fn output(&self) -> u32 {
-            self.0
-        }
-    }
-
-    #[test]
-    fn run_observed_builds_one_observer_per_scenario() {
-        let ns = [4usize, 6, 8];
-        let spec = SweepSpec::grid1("flood", &ns, |&n| (format!("n={n}"), n));
-        let run = run_observed(
-            &SweepEngine::new(3),
-            &spec,
-            ChurnStats::<u32>::new,
-            |cell, churn| {
-                let n = cell.params;
-                Scenario::new(n)
-                    .algorithm(|v: NodeId| MaxFlood(v.0))
-                    .adversary(StaticAdversary::new(generators::path(n)))
-                    .seed(1)
-                    .rounds(n)
-                    .run(&mut [&mut *churn]);
-            },
-        )
-        .unwrap();
-        for (cell, churn) in spec.cells().iter().zip(run.results()) {
-            assert_eq!(churn.series().len(), cell.params, "one run per observer");
-        }
-    }
-}

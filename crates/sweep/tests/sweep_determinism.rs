@@ -15,7 +15,7 @@ use dynnet_core::{ColorOutput, HasBottom};
 use dynnet_graph::{generators, NodeId};
 use dynnet_metrics::Table;
 use dynnet_runtime::observer::ChurnStats;
-use dynnet_sweep::{Cell, CellRows, SweepEngine, SweepSpec};
+use dynnet_sweep::{SweepEngine, SweepSpec};
 
 /// The adversary axis of the determinism grid.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,58 +40,52 @@ fn spec() -> SweepSpec<(Adv, u64)> {
 fn run_grid_with(threads: usize, parallel_rounds: bool) -> Table {
     let n = 48;
     let rounds = 40;
-    let mut tables = SweepEngine::new(threads)
-        .aggregate(
-            &spec(),
-            |cell| {
-                let (adv, seed) = cell.params;
-                let footprint = generators::erdos_renyi_avg_degree(
-                    n,
-                    6.0,
-                    &mut dynnet_runtime::rng::experiment_rng(seed, "sweep-det"),
-                );
-                let mut churn = ChurnStats::new();
-                let adversary: Box<dyn OutputAdversary<ColorOutput>> = match adv {
-                    Adv::Static => Box::new(StaticAdversary::new(footprint)),
-                    Adv::Flip => Box::new(FlipChurnAdversary::new(&footprint, 0.05, 7 + seed)),
-                    Adv::Markov => Box::new(MarkovChurnAdversary::new(
-                        &footprint,
-                        0.1,
-                        0.1,
-                        false,
-                        9 + seed,
-                    )),
-                };
-                let runner = Scenario::new(n)
-                    .algorithm(|v: NodeId| DColor::new(v, ColorOutput::Undecided))
-                    .adversary(adversary)
-                    .seed(seed)
-                    .parallel(parallel_rounds)
-                    .parallel_threshold(0)
-                    .rounds(rounds)
-                    .run(&mut [&mut churn]);
-                let decided = runner
-                    .outputs()
-                    .iter()
-                    .filter(|o| o.map(|c| c.is_decided()).unwrap_or(false))
-                    .count();
-                (decided, churn.total_from(0))
-            },
-            CellRows::new(
-                "sweep determinism",
-                &["cell", "decided", "output changes"],
-                |cell: &Cell<(Adv, u64)>, (decided, changes): (usize, usize)| {
-                    vec![vec![
-                        cell.label.clone(),
-                        decided.to_string(),
-                        changes.to_string(),
-                    ]]
-                },
-            ),
-        )
+    let spec = spec();
+    let run = SweepEngine::new(threads)
+        .run(&spec, |cell| {
+            let (adv, seed) = cell.params;
+            let footprint = generators::erdos_renyi_avg_degree(
+                n,
+                6.0,
+                &mut dynnet_runtime::rng::experiment_rng(seed, "sweep-det"),
+            );
+            let mut churn = ChurnStats::new();
+            let adversary: Box<dyn OutputAdversary<ColorOutput>> = match adv {
+                Adv::Static => Box::new(StaticAdversary::new(footprint)),
+                Adv::Flip => Box::new(FlipChurnAdversary::new(&footprint, 0.05, 7 + seed)),
+                Adv::Markov => Box::new(MarkovChurnAdversary::new(
+                    &footprint,
+                    0.1,
+                    0.1,
+                    false,
+                    9 + seed,
+                )),
+            };
+            let runner = Scenario::new(n)
+                .algorithm(|v: NodeId| DColor::new(v, ColorOutput::Undecided))
+                .adversary(adversary)
+                .seed(seed)
+                .parallel(parallel_rounds)
+                .parallel_threshold(0)
+                .rounds(rounds)
+                .run(&mut [&mut churn]);
+            let decided = runner
+                .outputs()
+                .iter()
+                .filter(|o| o.map(|c| c.is_decided()).unwrap_or(false))
+                .count();
+            (decided, churn.total_from(0))
+        })
         .expect("sweep must succeed");
-    assert_eq!(tables.len(), 1);
-    tables.pop().unwrap()
+    let mut table = Table::new("sweep determinism", &["cell", "decided", "output changes"]);
+    for (cell, (decided, changes)) in spec.cells().iter().zip(run.results()) {
+        table.push_row(vec![
+            cell.label.clone(),
+            decided.to_string(),
+            changes.to_string(),
+        ]);
+    }
+    table
 }
 
 fn run_grid(threads: usize) -> Table {

@@ -57,7 +57,6 @@ fn assert_delta_path_equivalent<Adv, W>(
         seed: 11,
         parallel,
         parallel_threshold: 0,
-        ..SimConfig::default()
     };
 
     // Reference execution: whole graphs, CSR rebuilt from scratch per round.

@@ -20,7 +20,6 @@
 use dynnet::graph::codec::replay_log;
 use dynnet::prelude::*;
 use dynnet::runtime::rng::experiment_rng;
-use dynnet::sweep::fold;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -64,17 +63,11 @@ fn color_rounds(cell: &Cell<(usize, u64)>) -> f64 {
 /// Renders a finished run to the CSV artifact the byte-identity claims are
 /// checked against.
 fn csv_of(spec: &SweepSpec<(usize, u64)>, run: SweepRun<f64>) -> String {
-    let mut agg = fold(
-        spec,
-        run,
-        CellRows::new(
-            "resume-grid",
-            &["cell", "rounds"],
-            |c: &Cell<(usize, u64)>, r: f64| vec![vec![c.label.clone(), format!("{r}")]],
-        ),
-    );
-    let tables = Aggregator::<(usize, u64), f64>::finish(&mut agg);
-    tables[0].to_csv()
+    let mut table = Table::new("resume-grid", &["cell", "rounds"]);
+    for (cell, r) in spec.cells().iter().zip(run.results()) {
+        table.push_row(vec![cell.label.clone(), format!("{r}")]);
+    }
+    table.to_csv()
 }
 
 #[test]
@@ -97,7 +90,9 @@ fn killed_and_resumed_sweep_is_byte_identical() {
         );
         assert!(store.cells_persisted() >= 4);
 
-        let resumed: SweepRun<f64> = engine.resume_from(&spec, &dir, color_rounds).unwrap();
+        let resumed: SweepRun<f64> = engine
+            .run_checkpointed(&spec, &CheckpointStore::resume(&dir).unwrap(), color_rounds)
+            .unwrap();
         // Only the non-durable cells ran on resume.
         assert!(
             resumed.report().cells <= spec.len() - 4,
@@ -139,7 +134,9 @@ fn mid_cell_kill_recomputes_only_the_unfinished_work() {
     );
 
     let persisted = store.cells_persisted() as usize;
-    let resumed: SweepRun<f64> = engine.resume_from(&spec, &dir, color_rounds).unwrap();
+    let resumed: SweepRun<f64> = engine
+        .run_checkpointed(&spec, &CheckpointStore::resume(&dir).unwrap(), color_rounds)
+        .unwrap();
     assert_eq!(resumed.report().cells, spec.len() - persisted);
     assert_eq!(csv_of(&spec, resumed), oneshot);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -166,7 +163,9 @@ fn corrupted_cell_is_discarded_and_recomputed() {
     let recomputed_before = dynnet::obs::registry()
         .counter("store.cells_recomputed")
         .get();
-    let resumed: SweepRun<f64> = engine.resume_from(&spec, &dir, color_rounds).unwrap();
+    let resumed: SweepRun<f64> = engine
+        .run_checkpointed(&spec, &CheckpointStore::resume(&dir).unwrap(), color_rounds)
+        .unwrap();
     // The corrupt cell was rejected and re-run — never silently trusted —
     // and the healed output still matches the uninterrupted run exactly.
     assert_eq!(resumed.report().cells, 1, "exactly the corrupt cell re-ran");
